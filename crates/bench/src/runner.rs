@@ -1330,8 +1330,22 @@ mod tests {
             workload: Workload::Mcf,
             opts: HarnessOpts::default().with_kinsts(20_000).with_timer(0),
         }];
+        // The point generates its program and builds its machine inside
+        // the run, before its first slice, and a deadline passing during
+        // that set-up cancels the machine at cycle 0. So the deadline is
+        // armed 50 ms past ten times the same set-up, timed here under
+        // whatever load the host carries.
+        let t0 = Instant::now();
+        drop(build_workload_machine(
+            Variant::Base,
+            Workload::Mcf,
+            &points[0].opts,
+            None,
+            None,
+        ));
+        let setup = t0.elapsed();
         let mut schedule = GridSchedule::new(1);
-        schedule.deadline = Some(Instant::now() + Duration::from_millis(50));
+        schedule.deadline = Some(Instant::now() + 10 * setup + Duration::from_millis(50));
         let out = run_grid_scheduled(&points, &schedule, |_| {});
         assert!(out.deadline_hit);
         assert_eq!(out.completed, 0);

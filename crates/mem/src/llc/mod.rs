@@ -115,7 +115,7 @@ struct MshrEntry {
     from_dram: bool,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct LlcLine {
     tag: u64,
     valid: bool,

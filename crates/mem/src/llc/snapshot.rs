@@ -229,14 +229,20 @@ impl CoreLink {
 
 impl Llc {
     /// Serializes the LLC: its configuration (for restore-time matching),
-    /// the directory arrays, MSHRs, the cache-access pipeline, and every
-    /// queue and counter.
+    /// the directory arrays (a never-filled line as a single zero byte),
+    /// MSHRs, the cache-access pipeline, and every queue and counter.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.cfg.save(w);
         w.usize(self.sets.len());
         w.usize(self.cfg.ways);
-        for set in &self.sets {
-            for line in set {
+        // Most of a warmed directory was never filled: such a line is one
+        // presence byte. Any other line, even an invalidated one that
+        // still carries its tag, is written in full.
+        for line in self.sets.iter().flatten() {
+            if *line == LlcLine::default() {
+                w.u8(0);
+            } else {
+                w.u8(1);
                 line.save(w);
             }
         }
@@ -272,9 +278,11 @@ impl Llc {
                 ),
             });
         }
+        // Version 1 wrote every line in full, with no presence byte.
+        let elided = r.version() >= 2;
         let mut lines = vec![vec![LlcLine::default(); ways]; sets];
-        for set in &mut lines {
-            for line in set.iter_mut() {
+        for line in lines.iter_mut().flatten() {
+            if !elided || r.bool()? {
                 *line = LlcLine::load(r)?;
             }
         }

@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::config::{DramConfig, LINK_CAPACITY};
+use mi6_snapshot::{SnapReader, SnapWriter};
 
 const LAT: u32 = 0; // zero link latency makes cycle math exact
 
@@ -328,4 +329,53 @@ fn secure_sizing_never_backpressures_dram() {
         assert!(rig.dram.inflight() <= 24);
     }
     assert_eq!(rig.dram.backpressure_events, 0);
+}
+
+fn encode_llc(llc: &Llc) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    llc.save_state(&mut w);
+    w.finish()
+}
+
+fn decode_llc(bytes: &[u8]) -> Llc {
+    let mut llc = Llc::new(
+        LlcConfig::paper_base(),
+        1,
+        RegionMap::new(&DramConfig::paper()),
+    );
+    let mut r = SnapReader::new(bytes);
+    assert!(llc.restore_state(&mut r).unwrap().is_empty());
+    r.expect_end().unwrap();
+    llc
+}
+
+/// Blank, valid, invalidated-but-tagged and MSHR-locked lines round-trip,
+/// and only the blank ones shrink to their presence byte.
+#[test]
+fn snapshot_elides_only_blank_lines() {
+    let mut rig = Rig::new(LlcConfig::paper_base(), 1);
+    rig.request(0, 0x4_0000, MsiState::M);
+    rig.run_until_resp(0, 0x4_0000, 400);
+    rig.request(0, 0x8_0000, MsiState::S);
+    for _ in 0..100 {
+        if rig.llc.sets.iter().flatten().any(|l| l.locked_by.is_some()) {
+            break;
+        }
+        rig.tick();
+    }
+    rig.llc.sets[7][3] = LlcLine {
+        tag: 0x1234,
+        ..LlcLine::default()
+    };
+    let lines = || rig.llc.sets.iter().flatten();
+    assert!(lines().any(|l| l.valid), "a filled line");
+    assert!(lines().any(|l| l.locked_by.is_some()), "an MSHR-locked way");
+    let blank = lines().filter(|&&l| l == LlcLine::default()).count();
+    assert_eq!(lines().count() - blank, 3);
+
+    let bytes = encode_llc(&rig.llc);
+    assert!(bytes.len() < blank + 1024, "{} bytes", bytes.len());
+    let back = decode_llc(&bytes);
+    assert_eq!(back.sets, rig.llc.sets);
+    assert_eq!(encode_llc(&back), bytes);
 }

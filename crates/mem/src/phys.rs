@@ -226,18 +226,41 @@ impl PhysMem {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
+/// 8-byte words per page.
+const PAGE_WORDS: usize = PAGE_BYTES / 8;
+
 /// Pages are written in ascending page-index order so identical memory
 /// contents always produce identical snapshot bytes (the backing map is
-/// hash-ordered).
+/// hash-ordered); the reader rejects any other order, which also catches
+/// a duplicated page.
+///
+/// Each page is a 512-bit map of its non-zero 8-byte words (bit `b` of
+/// map word `k` stands for page word `64 * k + b`) followed by those
+/// words in address order. Resident memory is mostly zeros, so this is
+/// several times smaller than the raw 4 KiB that version 1 wrote. An
+/// all-zero page is still written (an empty map, no words): it stays
+/// resident after a restore, so a re-snapshot is byte-identical.
 impl SnapState for PhysMem {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.size);
         let mut indices: Vec<u64> = self.pages.keys().copied().collect();
         indices.sort_unstable();
         w.usize(indices.len());
+        let mut words = Vec::with_capacity(PAGE_BYTES);
         for idx in indices {
             w.u64(idx);
-            w.bytes(&self.pages[&idx][..]);
+            let mut map = [0u64; PAGE_WORDS / 64];
+            words.clear();
+            for (i, word) in self.pages[&idx].chunks_exact(8).enumerate() {
+                if word != [0u8; 8] {
+                    map[i / 64] |= 1 << (i % 64);
+                    words.extend_from_slice(word);
+                }
+            }
+            for m in map {
+                w.u64(m);
+            }
+            w.bytes(&words);
         }
     }
 
@@ -250,6 +273,7 @@ impl SnapState for PhysMem {
         }
         let n = r.len()?;
         let mut pages = PageMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
+        let mut prev = None;
         for _ in 0..n {
             let idx = r.u64()?;
             if idx >= size / PAGE_SIZE {
@@ -257,11 +281,41 @@ impl SnapState for PhysMem {
                     what: format!("page index {idx} outside memory"),
                 });
             }
-            let data: [u8; PAGE_BYTES] = r.bytes(PAGE_BYTES)?.try_into().expect("fixed-size page");
-            pages.insert(idx, Box::new(data));
+            if let Some(prev) = prev.filter(|&p| idx <= p) {
+                return Err(SnapError::BadValue {
+                    what: format!("page index {idx} follows {prev}"),
+                });
+            }
+            prev = Some(idx);
+            let page = if r.version() >= 2 {
+                load_sparse_page(r)?
+            } else {
+                Box::new(r.bytes(PAGE_BYTES)?.try_into().expect("fixed-size page"))
+            };
+            pages.insert(idx, page);
         }
         Ok(PhysMem { size, pages })
     }
+}
+
+/// Decodes one word-mapped page, scattering its words into a zeroed page.
+fn load_sparse_page(r: &mut SnapReader<'_>) -> Result<Box<[u8; PAGE_BYTES]>, SnapError> {
+    let mut map = [0u64; PAGE_WORDS / 64];
+    for m in &mut map {
+        *m = r.u64()?;
+    }
+    let count: usize = map.iter().map(|m| m.count_ones() as usize).sum();
+    let mut words = r.bytes(8 * count)?.chunks_exact(8);
+    let mut page = Box::new([0u8; PAGE_BYTES]);
+    for (k, &m) in map.iter().enumerate() {
+        let mut bits = m;
+        while bits != 0 {
+            let i = 64 * k + bits.trailing_zeros() as usize;
+            page[8 * i..8 * i + 8].copy_from_slice(words.next().expect("one word per map bit"));
+            bits &= bits - 1;
+        }
+    }
+    Ok(page)
 }
 
 #[cfg(test)]
@@ -316,6 +370,83 @@ mod tests {
         mem.load_words(PhysAddr::new(0x1000), &[0xaabbccdd, 0x11223344]);
         assert_eq!(mem.read_u32(PhysAddr::new(0x1000)), 0xaabbccdd);
         assert_eq!(mem.read_u32(PhysAddr::new(0x1004)), 0x11223344);
+    }
+
+    fn encode(mem: &PhysMem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        mem.save(&mut w);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<PhysMem, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let mem = PhysMem::load(&mut r)?;
+        r.expect_end()?;
+        Ok(mem)
+    }
+
+    /// An all-zero page, a fully dense page, a page with only its last
+    /// word set, and a typical sparse page.
+    fn codec_mix() -> PhysMem {
+        let mut mem = PhysMem::new(1 << 20);
+        mem.write_u64(PhysAddr::new(0x1000), 5);
+        mem.write_u64(PhysAddr::new(0x1000), 0);
+        for i in 0..PAGE_WORDS as u64 {
+            mem.write_u64(PhysAddr::new(0x3000 + 8 * i), !i);
+        }
+        mem.write_u64(PhysAddr::new(0x5000 + PAGE_SIZE - 8), 0xfeed);
+        for (i, off) in [0u64, 8, 0x200, 0x208, 0x7f8, 0x800]
+            .into_iter()
+            .enumerate()
+        {
+            mem.write_u64(PhysAddr::new(0x8000 + off), 0x1111 * (i as u64 + 1));
+        }
+        mem.write_u8(PhysAddr::new(0x8abc), 0x80);
+        mem
+    }
+
+    fn same_contents(a: &PhysMem, b: &PhysMem) {
+        assert_eq!(a.size, b.size);
+        assert_eq!(a.pages.len(), b.pages.len());
+        for (idx, page) in &a.pages {
+            assert_eq!(
+                b.pages.get(idx).map(|p| &p[..]),
+                Some(&page[..]),
+                "page {idx}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_pages_round_trip_and_re_encode_identically() {
+        let mem = codec_mix();
+        let bytes = encode(&mem);
+        let back = decode(&bytes).unwrap();
+        same_contents(&mem, &back);
+        assert_eq!(back.resident_pages(), 4, "the all-zero page stays resident");
+        assert_eq!(encode(&back), bytes);
+        // Size, count, then per page an index and a 64-byte map: the
+        // all-zero page has no words, the dense one all 512.
+        let words = PAGE_WORDS + 1 + 7;
+        assert_eq!(bytes.len(), 16 + 4 * (8 + 64) + 8 * words);
+    }
+
+    #[test]
+    fn duplicate_or_descending_page_indices_are_rejected() {
+        let mut mem = PhysMem::new(1 << 20);
+        mem.write_u64(PhysAddr::new(0x1000), 1);
+        mem.write_u64(PhysAddr::new(0x2000), 2);
+        let bytes = encode(&mem);
+        // Second page entry: size, count, page 1 (index, map, one word).
+        let second = 16 + 8 + 64 + 8;
+        for idx in [1u64, 0] {
+            let mut bad = bytes.clone();
+            bad[second..second + 8].copy_from_slice(&idx.to_le_bytes());
+            assert!(
+                matches!(decode(&bad), Err(SnapError::BadValue { .. })),
+                "index {idx} after 1 accepted"
+            );
+        }
     }
 
     #[test]

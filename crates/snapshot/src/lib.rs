@@ -11,7 +11,10 @@
 //! The codec is deliberately hand-rolled (no serde): the simulator is
 //! dependency-free by policy, and a checkpoint's byte layout is part of
 //! the on-disk contract — [`FORMAT_VERSION`] must be bumped whenever any
-//! component changes its serialized shape.
+//! component changes its serialized shape. A reader learns the version of
+//! the body it decodes from the snapshot header
+//! ([`SnapReader::set_version`]); the few decoders whose layout changed
+//! branch on [`SnapReader::version`], so older snapshots keep loading.
 //!
 //! Non-determinism guard: hash-ordered containers (`HashMap`/`HashSet`)
 //! must be written in sorted key order so identical machine states always
@@ -25,8 +28,20 @@ use std::fmt;
 /// The first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"MI6S";
 
-/// Bump this whenever any component changes its serialized layout.
-pub const FORMAT_VERSION: u32 = 1;
+/// The layout version this build writes. Bump it whenever any component
+/// changes its serialized layout, and keep decoding the old layout while
+/// snapshots in it can still exist.
+///
+/// - 1: every physical-memory page as its 4 KiB of raw bytes; every LLC
+///   directory line in full.
+/// - 2: every page as a 512-bit map of its non-zero 8-byte words followed
+///   by those words; a never-filled LLC line as a single presence byte.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The oldest layout version readers still decode. Version 1 survives in
+/// committed fixtures and in checkpoint directories written by earlier
+/// builds.
+pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Error produced while decoding or validating a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,11 +53,13 @@ pub enum SnapError {
     },
     /// The buffer does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The snapshot was written by an incompatible codec version.
+    /// The snapshot was written by a codec version this build cannot
+    /// decode.
     BadVersion {
         /// Version found in the header.
         found: u32,
-        /// Version this build understands.
+        /// Newest version this build decodes (it also decodes every
+        /// version down to [`MIN_FORMAT_VERSION`]).
         expected: u32,
     },
     /// The snapshot was taken on a machine whose configuration does not
@@ -73,7 +90,8 @@ impl fmt::Display for SnapError {
             SnapError::BadMagic => f.write_str("not an MI6 snapshot (bad magic)"),
             SnapError::BadVersion { found, expected } => write!(
                 f,
-                "snapshot format version {found} is not the supported version {expected}"
+                "snapshot format version {found} is not supported (this build reads \
+                 versions {MIN_FORMAT_VERSION} to {expected})"
             ),
             SnapError::ConfigMismatch { what } => {
                 write!(f, "snapshot does not match this machine: {what}")
@@ -185,12 +203,29 @@ impl SnapWriter {
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    version: u32,
 }
 
 impl<'a> SnapReader<'a> {
-    /// A reader over `buf`, positioned at the start.
+    /// A reader over `buf`, positioned at the start, decoding the
+    /// current [`FORMAT_VERSION`] layout.
     pub fn new(buf: &'a [u8]) -> SnapReader<'a> {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            version: FORMAT_VERSION,
+        }
+    }
+
+    /// The layout version of the body being decoded.
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
+    /// Sets the layout version of the rest of the body, as read from its
+    /// header (the caller has checked it is one this build decodes).
+    pub fn set_version(&mut self, version: u32) {
+        self.version = version;
     }
 
     /// Bytes not yet consumed.

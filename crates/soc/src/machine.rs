@@ -849,7 +849,10 @@ impl Machine {
 
 // ---------------------------------------------------------------- snapshot
 
-use mi6_snapshot::{fnv1a64, SnapError, SnapReader, SnapState, SnapWriter, FORMAT_VERSION, MAGIC};
+use mi6_snapshot::{
+    fnv1a64, SnapError, SnapReader, SnapState, SnapWriter, FORMAT_VERSION, MAGIC,
+    MIN_FORMAT_VERSION,
+};
 
 impl Machine {
     /// Configures automatic checkpointing: every `cycles` cycles a
@@ -1040,8 +1043,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on corrupt input, a format-version mismatch,
-    /// or a configuration mismatch.
+    /// Returns [`SnapError`] on corrupt input, a format version this build
+    /// does not decode, or a configuration mismatch.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         self.restore_inner(bytes, true)
     }
@@ -1067,12 +1070,13 @@ impl Machine {
             return Err(SnapError::BadMagic);
         }
         let version = r.u32()?;
-        if version != FORMAT_VERSION {
+        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(SnapError::BadVersion {
                 found: version,
                 expected: FORMAT_VERSION,
             });
         }
+        r.set_version(version);
         let strict_fp = r.u64()?;
         let struct_fp = r.u64()?;
         let variant_idx = r.u8()?;
@@ -1410,14 +1414,19 @@ mod tests {
             .build()
             .unwrap();
         assert!(c.restore_forked(&snap).is_err());
-        // Corrupt version: clear error.
-        let mut bad = snap.clone();
-        bad[4] = 0xff;
+        // A version outside the readable range: clear error.
         let mut d = crate::SimBuilder::base().without_timer().build().unwrap();
-        assert!(matches!(
-            d.restore(&bad),
-            Err(mi6_snapshot::SnapError::BadVersion { .. })
-        ));
+        for version in [MIN_FORMAT_VERSION - 1, FORMAT_VERSION + 1, 0xff] {
+            let mut bad = snap.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                d.restore(&bad),
+                Err(SnapError::BadVersion {
+                    found: version,
+                    expected: FORMAT_VERSION
+                })
+            );
+        }
         assert!(matches!(
             d.restore(b"nonsense"),
             Err(mi6_snapshot::SnapError::BadMagic)

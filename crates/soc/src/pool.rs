@@ -5,10 +5,17 @@
 //! those states durable across processes, but an in-process grid paying a
 //! file write plus N file reads per warm state is pure overhead: the
 //! bytes are already in memory. [`SnapshotPool`] keeps them there —
-//! snapshot blobs produced by [`crate::Machine::snapshot`] (the existing
-//! codec, same `FORMAT_VERSION`, byte-identical to what the disk path
-//! stores), shared as `Arc`s so concurrent restores clone a pointer, not
-//! a buffer.
+//! encoded snapshot blobs exactly as [`crate::Machine::snapshot`] writes
+//! them and the disk path stores them, shared as `Arc`s so concurrent
+//! restores clone a pointer, not a buffer.
+//!
+//! Size. A blob is in the current `mi6_snapshot::FORMAT_VERSION` layout,
+//! which stores only the non-zero words of each page and one byte per
+//! never-filled LLC line, so a pooled warm state costs roughly its
+//! non-zero content rather than every resident page in full. A blob read
+//! back from a checkpoint directory is pooled as read; one written by an
+//! older build keeps its older (larger) layout, which restores still
+//! decode.
 //!
 //! Keying. A snapshot is only restorable into a machine whose
 //! configuration fingerprint matches: the *strict* fingerprint for exact
