@@ -20,7 +20,7 @@
 //!                                # `lap-profile` feature compiled in)
 //! mi6-bench --mux 8              # multiplexed-grid throughput: aggregate
 //!                                # Mcycles/s at 8 machines per worker vs
-//!                                # serial, plus warm-restore pool-vs-disk
+//!                                # serial
 //! ```
 //!
 //! Each kernel prints one line, e.g.
@@ -30,11 +30,10 @@
 //! runs this binary non-gating so the trajectory stays visible).
 
 use mi6_bench::runner::default_threads;
-use mi6_bench::{GridPoint, GridSchedule, HarnessOpts, WarmFork, SLICE_CYCLES};
-use mi6_soc::{SimBuilder, SnapshotPool, Variant};
+use mi6_bench::{GridPoint, GridSchedule, HarnessOpts, SLICE_CYCLES};
+use mi6_soc::{SimBuilder, Variant};
 use mi6_workloads::{generate, BranchStyle, Profile, Workload, WorkloadParams};
 use std::process::exit;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The measurement kernels. All working sets fit the 1 MiB LLC (and
@@ -120,7 +119,7 @@ fn usage() -> ! {
 }
 
 /// What `--mux M` measures: the multiplexed machine driver's aggregate
-/// throughput and the warm-snapshot pool's edge over on-disk restores.
+/// throughput.
 struct MuxBench {
     threads: usize,
     mux: usize,
@@ -129,16 +128,11 @@ struct MuxBench {
     mux_wall_s: f64,
     serial_cps: f64,
     mux_cps: f64,
-    pool_warm_wall_s: f64,
-    disk_warm_wall_s: f64,
 }
 
-/// Runs a small miss-heavy grid (BASE/FPMA/ARB × mcf/sjeng) four ways:
-/// cold serial, cold multiplexed (`mux` machines per worker on short
-/// slices), fork-base warmed from the in-memory [`SnapshotPool`], and
-/// fork-base warmed from on-disk snapshot files. The first pair is the
-/// driver's aggregate-throughput number; the second pair shows what
-/// serving restores from memory instead of the filesystem buys.
+/// Runs a small miss-heavy grid (BASE/FPMA/ARB × mcf/sjeng) two ways:
+/// serial, and multiplexed (`mux` machines per worker on short slices).
+/// The pair is the driver's aggregate-throughput number.
 fn run_mux_bench(kinsts: u64, mux: usize) -> MuxBench {
     let threads = default_threads().clamp(1, 4);
     let opts = HarnessOpts::default().with_kinsts(kinsts).with_timer(0);
@@ -155,10 +149,8 @@ fn run_mux_bench(kinsts: u64, mux: usize) -> MuxBench {
         })
         .collect();
     // Short slices so every point is forced through several park/resume
-    // round-trips — the regime the driver exists for; a warm-up short
-    // enough that even tiny --kinsts runs survive it.
+    // round-trips — the regime the driver exists for.
     let slice = (kinsts.saturating_mul(1000) / 4).clamp(20_000, SLICE_CYCLES);
-    let warmup = (kinsts.saturating_mul(1000) / 4).clamp(1_000, 100_000);
     let run = |schedule: &GridSchedule| -> (f64, u64) {
         let t0 = Instant::now();
         let out = mi6_bench::run_grid_scheduled(&points, schedule, |_| {});
@@ -172,33 +164,6 @@ fn run_mux_bench(kinsts: u64, mux: usize) -> MuxBench {
     multiplexed_schedule.mux = mux;
     multiplexed_schedule.slice = slice;
     let multiplexed = run(&multiplexed_schedule);
-    // Pool-vs-disk: identical fork-base warm phases, differing only in
-    // where the snapshot lives when the measurement runs restore it.
-    let pool_warm = WarmFork {
-        warmup_cycles: warmup,
-        dir: None,
-        fork_base: true,
-    };
-    let mut pool_schedule = GridSchedule::new(threads);
-    pool_schedule.mux = mux;
-    pool_schedule.slice = slice;
-    pool_schedule.warm = Some(&pool_warm);
-    pool_schedule.pool = Some(Arc::new(SnapshotPool::new()));
-    let (pool_wall, _) = run(&pool_schedule);
-    let dir = std::env::temp_dir().join(format!("mi6-muxbench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk_warm = WarmFork {
-        warmup_cycles: warmup,
-        dir: Some(dir.clone()),
-        fork_base: true,
-    };
-    let mut disk_schedule = GridSchedule::new(threads);
-    disk_schedule.mux = mux;
-    disk_schedule.slice = slice;
-    disk_schedule.warm = Some(&disk_warm);
-    disk_schedule.warm_from_disk = true;
-    let (disk_wall, _) = run(&disk_schedule);
-    let _ = std::fs::remove_dir_all(&dir);
     MuxBench {
         threads,
         mux,
@@ -207,8 +172,6 @@ fn run_mux_bench(kinsts: u64, mux: usize) -> MuxBench {
         mux_wall_s: multiplexed.0,
         serial_cps: serial.1 as f64 / serial.0.max(1e-9),
         mux_cps: multiplexed.1 as f64 / multiplexed.0.max(1e-9),
-        pool_warm_wall_s: pool_wall,
-        disk_warm_wall_s: disk_wall,
     }
 }
 
@@ -421,10 +384,6 @@ fn main() {
             m.mux_wall_s,
             m.mux_cps / 1e6,
         );
-        println!(
-            "mux: fork-base warm restores — snapshot pool {:.2}s vs on-disk {:.2}s",
-            m.pool_warm_wall_s, m.disk_warm_wall_s,
-        );
     }
     if let Some(path) = &trace_path {
         // Validate the trace we just wrote before anyone feeds it to
@@ -497,8 +456,7 @@ fn main() {
                 format!(
                     ",\"mux\":{{\"machines_per_worker\":{},\"threads\":{},\"points\":{},\
                      \"serial_wall_s\":{:.6},\"mux_wall_s\":{:.6},\
-                     \"serial_cycles_per_sec\":{:.1},\"mux_cycles_per_sec\":{:.1},\
-                     \"pool_warm_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6}}}",
+                     \"serial_cycles_per_sec\":{:.1},\"mux_cycles_per_sec\":{:.1}}}",
                     m.mux,
                     m.threads,
                     m.points,
@@ -506,8 +464,6 @@ fn main() {
                     m.mux_wall_s,
                     m.serial_cps,
                     m.mux_cps,
-                    m.pool_warm_wall_s,
-                    m.disk_warm_wall_s,
                 )
             })
             .unwrap_or_default();

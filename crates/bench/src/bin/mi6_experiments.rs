@@ -2,8 +2,8 @@
 //!
 //! Replaces the ten per-figure binaries: each figure is a declarative
 //! variant×workload grid (see `mi6_bench::figures`) whose points run on
-//! the `mi6-grid` work-stealing scheduler, stream JSON as they finish,
-//! and render the same tables the old binaries printed.
+//! the `mi6-grid` machine driver, stream JSON as they finish, and render
+//! the same tables the old binaries printed.
 //!
 //! ```text
 //! mi6-experiments --figure 13              # one figure
@@ -30,17 +30,19 @@
 //! a plain grid), `--json PATH` (append one JSON object per grid point;
 //! `-` makes stdout a pure JSONL stream and suppresses the figure
 //! tables), `--seeds N` (run every point with N workload seeds and
-//! report means with 95% Student-t confidence intervals), `--warmup N` +
-//! `--checkpoint-dir D` (simulate each point's first N cycles once,
-//! snapshot into D, and start grid runs from the warmed state — results
-//! are bit-identical to cold runs and repeat invocations skip the
-//! warm-up), `--fork-base` (warm once per workload on BASE and fork the
-//! quiescent state across every variant; without `--checkpoint-dir`,
-//! warm states live in an in-memory snapshot pool for the life of the
-//! invocation instead of on disk), `--mux M` (admit up to M in-flight
+//! report means with 95% Student-t confidence intervals), `--warmup N`
+//! (simulate each point's first N cycles once, keep the snapshot in an
+//! in-memory pool for the invocation, and start grid runs from the
+//! warmed state — results are bit-identical to cold runs), plus
+//! `--checkpoint-dir D` (also write each warm state through to D, so
+//! repeat invocations and other shard hosts skip the warm-up),
+//! `--fork-base` (warm once per workload on BASE and fork the quiescent
+//! state across every variant), `--mux M` (admit up to M in-flight
 //! machines per worker thread and time-slice between them — results
 //! stay byte-identical to `--mux 1`), `--scenario enclave-attacker`
-//! (the two-core enclave-vs-attacker grid), `--metrics-every N` +
+//! (the fixed two-core enclave-vs-attacker grid; of the run flags it
+//! takes only `--kinsts`, `--timer`, `--threads`, `--json`, `--stacks`
+//! and `--metrics-every` + `--out`), `--metrics-every N` +
 //! `--out DIR` (sample the microarchitectural metrics registry every N
 //! cycles into one JSONL artifact per grid/scenario point under DIR —
 //! journal lines record the artifact path, and the scenario prints a
@@ -56,8 +58,6 @@
 //!   journal resumes the rest later). Interrupted points journal a
 //!   `"partial":true` progress line; merge skips those and reports how
 //!   many it saw.
-//! - `--batch N` — points claimed per scheduler queue visit (default:
-//!   auto; batches amortize synchronization over many short runs).
 //! - `merge --out DIR` + the same grid flags — validate that the shard
 //!   files cover the requested grid exactly (missing or duplicated
 //!   points are hard errors) and render the figures, byte-identical to
@@ -71,14 +71,12 @@
 use mi6_bench::runner::default_threads;
 use mi6_bench::sharding::{balance_report, load_shard_dir, merge_shards, open_shard_journal};
 use mi6_bench::{plan_grid, scenario, GridMetrics, GridSchedule, HarnessOpts, WarmFork, FIGURES};
-use mi6_grid::{ResultCache, ShardSpec};
-use mi6_soc::SnapshotPool;
+use mi6_grid::ShardSpec;
 use mi6_workloads::Workload;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::exit;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Cli {
@@ -96,7 +94,6 @@ struct Cli {
     shard: Option<ShardSpec>,
     out: Option<PathBuf>,
     deadline_secs: Option<u64>,
-    batch: usize,
     balance: bool,
     metrics_every: u64,
     stacks: Option<PathBuf>,
@@ -108,7 +105,7 @@ fn usage() -> ! {
          [--kinsts N] [--timer N] [--threads N] [--mux M] [--seeds N] [--workload NAME]... \
          [--json PATH|-] [--stacks PATH] [--metrics-every CYCLES --out DIR] \
          [--warmup CYCLES [--checkpoint-dir DIR] [--fork-base]] \
-         [--shard i/N --out DIR] [--deadline SECS] [--batch N]\n\
+         [--shard i/N --out DIR] [--deadline SECS]\n\
          \x20      mi6-experiments merge --out DIR (((--figure N)... | --all) \
          [--kinsts N] [--timer N] [--seeds N] [--workload NAME]... | --balance)"
     );
@@ -119,13 +116,12 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     // Merge re-derives the expected grid from flags; anything that only
     // shapes *how* a run executes would be silently meaningless there,
     // so reject it loudly rather than ignore it.
-    const RUN_ONLY: [&str; 12] = [
+    const RUN_ONLY: [&str; 11] = [
         "--mux",
         "--json",
         "--stacks",
         "--threads",
         "--deadline",
-        "--batch",
         "--shard",
         "--scenario",
         "--warmup",
@@ -148,11 +144,22 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
         shard: None,
         out: None,
         deadline_secs: None,
-        batch: 0,
         balance: false,
         metrics_every: 0,
         stacks: None,
     };
+    // The scenario is a fixed grid with no warm-up phase: these flags
+    // would be accepted and silently do nothing there.
+    const GRID_ONLY: [&str; 7] = [
+        "--seeds",
+        "--workload",
+        "--warmup",
+        "--checkpoint-dir",
+        "--fork-base",
+        "--mux",
+        "--deadline",
+    ];
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> String {
         args.get(i + 1)
@@ -171,6 +178,7 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
             );
             usage();
         }
+        seen.push(args[i].as_str());
         match args[i].as_str() {
             "--figure" => {
                 let v = value(args, i, "--figure");
@@ -280,12 +288,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                     }));
                 i += 1;
             }
-            "--batch" => {
-                cli.batch = value(args, i, "--batch")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                i += 1;
-            }
             "--metrics-every" => {
                 cli.metrics_every = value(args, i, "--metrics-every")
                     .parse()
@@ -320,11 +322,19 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
             eprintln!("--scenario excludes --figure and --shard");
             usage();
         }
+        if let Some(flag) = GRID_ONLY.iter().find(|f| seen.contains(f)) {
+            eprintln!("`{flag}` applies to figure grids, not --scenario");
+            usage();
+        }
     } else if cli.figures.is_empty() && !cli.balance {
         usage();
     }
     if cli.fork_base && cli.warmup == 0 {
         eprintln!("--fork-base needs --warmup (the shared warm-up length)");
+        usage();
+    }
+    if cli.checkpoint_dir.is_some() && cli.warmup == 0 {
+        eprintln!("--checkpoint-dir needs --warmup (it holds the warm-up snapshots)");
         usage();
     }
     if cli.shard.is_some() && cli.out.is_none() {
@@ -582,7 +592,6 @@ fn run_main(args: &[String]) {
     let total = points.len();
     let schedule = GridSchedule {
         threads: cli.threads,
-        batch: cli.batch,
         warm: warm.as_ref(),
         deadline,
         metrics: (cli.metrics_every > 0).then(|| GridMetrics {
@@ -594,10 +603,8 @@ fn run_main(args: &[String]) {
                 .join("metrics"),
         }),
         mux: cli.mux,
-        slice: 0, // auto (SLICE_CYCLES)
-        pool: Some(Arc::new(SnapshotPool::new())),
-        cache: Some(Arc::new(ResultCache::new())),
-        warm_from_disk: false,
+        slice: 0,   // auto (SLICE_CYCLES)
+        pool: None, // a private pool for this invocation
     };
     let mut stack_rows: Vec<String> = Vec::new();
     let outcome = mi6_bench::run_grid_scheduled(&points, &schedule, |res| {

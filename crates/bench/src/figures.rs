@@ -1,10 +1,10 @@
 //! The ten evaluation figures (paper Section 7) as declarative grids.
 //!
 //! Each figure declares which grid points it needs via [`figure_points`];
-//! the CLI runs them (in parallel, through [`crate::run_grid`]) and hands
-//! the results back to [`render_figure`], which reproduces the old
-//! per-figure binary output. Figure 4 is the configuration table and needs
-//! no simulation.
+//! the CLI runs them (in parallel, through
+//! [`crate::run_grid_scheduled`]) and hands the results back to
+//! [`render_figure`], which reproduces the old per-figure binary output.
+//! Figure 4 is the configuration table and needs no simulation.
 //!
 //! Everything renders to `String`: the CLI prints the tables, and the
 //! shard `merge` path re-renders them from journaled JSON — the two must

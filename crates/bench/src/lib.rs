@@ -33,14 +33,13 @@ pub use figures::{
     figure_points, mean_results, render_cpi_decomposition, render_figure, render_seed_ci, FIGURES,
 };
 pub use runner::{
-    is_partial_line, run_grid, run_grid_scheduled, run_grid_with, GridMetrics, GridOutcome,
-    GridPoint, GridSchedule, PartialPoint, PointResult, WarmFork, AGGREGATED_WORKER, SLICE_CYCLES,
+    is_partial_line, run_grid_scheduled, GridMetrics, GridOutcome, GridPoint, GridSchedule,
+    PartialPoint, PointResult, WarmFork, AGGREGATED_WORKER, SLICE_CYCLES,
 };
 pub use sharding::{plan_grid, GridPlan};
 
 use mi6_core::CpiStack;
-#[allow(unused_imports)] // `Machine` anchors intra-doc links.
-use mi6_soc::{Machine, MachineStats, RunError, SimBuilder, Variant};
+use mi6_soc::{Machine, MachineStats, SimBuilder, Variant};
 use mi6_workloads::{Workload, WorkloadParams};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -194,45 +193,9 @@ pub struct MetricsSpec {
     pub every: u64,
 }
 
-/// Runs one workload on one variant to completion.
-pub fn run_workload(variant: Variant, workload: Workload, opts: &HarnessOpts) -> RunRecord {
-    run_workload_cancellable(variant, workload, opts, None).expect("no cancel flag to raise")
-}
-
-/// [`run_workload`] with a cooperative cancel flag: the machine polls the
-/// flag while running (the `SimBuilder::cancel_flag` hook), and a raised
-/// flag makes the run return `None` within a few thousand simulated
-/// cycles — how a `--deadline` interrupts in-flight grid points.
-pub fn run_workload_cancellable(
-    variant: Variant,
-    workload: Workload,
-    opts: &HarnessOpts,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Option<RunRecord> {
-    run_workload_observed(variant, workload, opts, cancel, None)
-}
-
-/// [`run_workload_cancellable`] with an optional [`MetricsSpec`] attached
-/// to the machine for the duration of the run.
-pub fn run_workload_observed(
-    variant: Variant,
-    workload: Workload,
-    opts: &HarnessOpts,
-    cancel: Option<Arc<AtomicBool>>,
-    metrics: Option<&MetricsSpec>,
-) -> Option<RunRecord> {
-    let mut machine = build_workload_machine(variant, workload, opts, cancel, metrics);
-    match machine.run_to_completion(opts.cycle_cap()) {
-        Ok(stats) => Some(RunRecord::from_run(workload.name(), &machine, &stats, 0)),
-        Err(RunError::Cancelled { .. }) => None,
-        Err(e) => panic!("running {workload} on {variant}: {e}"),
-    }
-}
-
 /// Builds the machine for one cold run — workload loaded, cancel flag and
-/// metrics attached — without running it. This is the construction half
-/// of [`run_workload_observed`]; the sliced grid driver uses it directly
-/// so it can drive the machine through `Machine::step_slice`.
+/// metrics attached — without running it; the grid driver steps it
+/// through `Machine::step_slice`.
 pub fn build_workload_machine(
     variant: Variant,
     workload: Workload,
@@ -259,9 +222,10 @@ pub fn build_workload_machine(
 
 /// Builds the bare machine a warm snapshot restores into — no workload
 /// (the snapshot supplies memory and images), cancel flag and metrics
-/// attached. The construction half of [`run_workload_restored_observed`];
-/// callers restore via `Machine::restore`/`restore_forked` (or hand the
-/// blob to `SimBuilder::restore_from_bytes` themselves).
+/// attached. Callers restore via [`Machine::restore`] (same-variant,
+/// bit-identical to an uninterrupted run) or [`Machine::restore_forked`]
+/// (a cross-variant warm state, e.g. a BASE-warmed prefix measured under
+/// every variant); metrics then cover only the measured continuation.
 pub fn build_restore_target(
     variant: Variant,
     opts: &HarnessOpts,
@@ -278,90 +242,6 @@ pub fn build_restore_target(
     builder
         .build()
         .unwrap_or_else(|e| panic!("building {variant}: {e}"))
-}
-
-/// Continues one workload to completion from a warm checkpoint.
-///
-/// `forked` selects [`Machine::restore_forked`] (a cross-variant warm
-/// state, e.g. a BASE-warmed prefix measured under every variant) over
-/// the strict [`Machine::restore`] (same-variant resume, bit-identical to
-/// an uninterrupted run). Reported counters cover the whole run including
-/// the warm prefix.
-pub fn run_workload_restored(
-    variant: Variant,
-    workload: Workload,
-    opts: &HarnessOpts,
-    snapshot: &[u8],
-    forked: bool,
-) -> RunRecord {
-    run_workload_restored_cancellable(variant, workload, opts, snapshot, forked, None)
-        .expect("no cancel flag to raise")
-}
-
-/// [`run_workload_restored`] with a cooperative cancel flag (see
-/// [`run_workload_cancellable`]).
-pub fn run_workload_restored_cancellable(
-    variant: Variant,
-    workload: Workload,
-    opts: &HarnessOpts,
-    snapshot: &[u8],
-    forked: bool,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Option<RunRecord> {
-    run_workload_restored_observed(variant, workload, opts, snapshot, forked, cancel, None)
-}
-
-/// [`run_workload_restored_cancellable`] with an optional [`MetricsSpec`]
-/// (metrics cover only the measured continuation, not the warm prefix).
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_restored_observed(
-    variant: Variant,
-    workload: Workload,
-    opts: &HarnessOpts,
-    snapshot: &[u8],
-    forked: bool,
-    cancel: Option<Arc<AtomicBool>>,
-    metrics: Option<&MetricsSpec>,
-) -> Option<RunRecord> {
-    let mut builder = SimBuilder::new(variant).timer_interval(opts.timer);
-    if let Some(flag) = cancel {
-        builder = builder.cancel_flag(flag);
-    }
-    if let Some(m) = metrics {
-        builder = builder.metrics(m.path.clone(), m.every);
-    }
-    let mut machine = builder
-        .build()
-        .unwrap_or_else(|e| panic!("building {variant}: {e}"));
-    let restored = if forked {
-        machine.restore_forked(snapshot)
-    } else {
-        machine.restore(snapshot)
-    };
-    restored.unwrap_or_else(|e| panic!("restoring {workload} warm state on {variant}: {e}"));
-    let start_cycle = machine.now();
-    match machine.run_to_completion(opts.cycle_cap()) {
-        Ok(stats) => Some(RunRecord::from_run(
-            workload.name(),
-            &machine,
-            &stats,
-            start_cycle,
-        )),
-        Err(RunError::Cancelled { .. }) => None,
-        Err(e) => panic!("running {workload} on {variant} from checkpoint: {e}"),
-    }
-}
-
-/// Runs all eleven workloads on a variant, serially (the parallel path is
-/// [`run_grid`]).
-pub fn run_all(variant: Variant, opts: &HarnessOpts) -> Vec<RunRecord> {
-    Workload::ALL
-        .iter()
-        .map(|&w| {
-            eprintln!("  running {w} on {variant}...");
-            run_workload(variant, w, opts)
-        })
-        .collect()
 }
 
 /// Arithmetic mean.
@@ -588,13 +468,5 @@ mod tests {
                 assert!(table.iter().any(|(n, _)| *n == w.name()), "missing {w}");
             }
         }
-    }
-
-    #[test]
-    fn tiny_run_produces_record() {
-        let opts = HarnessOpts::default().with_kinsts(30).with_timer(0);
-        let rec = run_workload(Variant::Base, Workload::Hmmer, &opts);
-        assert!(rec.cycles > 0);
-        assert!(rec.instructions > 10_000);
     }
 }

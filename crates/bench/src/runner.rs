@@ -1,27 +1,26 @@
 //! The parallel experiment runner.
 //!
-//! A figure is a grid of (variant, workload, opts) points. [`run_grid`]
-//! fans the points out across the `mi6-grid` slice-multiplexing machine
-//! driver: each point's machine is advanced in bounded slices
-//! (`Machine::step_slice`), so `--mux` can keep more machines in flight
-//! than there are worker threads, machines that prove themselves inert
-//! until a far-future cycle park in a wake-ordered heap instead of
-//! owning a thread, and a deadline lands between slices instead of only
-//! between points. The slice sequence is provably invisible in the
-//! results (see `Machine::step_slice`), so driver output is
-//! byte-identical to a serial run.
+//! A figure is a grid of (variant, workload, opts) points.
+//! [`run_grid_scheduled`] runs them on the `mi6-grid` slice-multiplexing
+//! machine driver, the harness's one executor: each point's machine is
+//! advanced in bounded slices (`Machine::step_slice`), so `--mux` can
+//! keep more machines in flight than there are worker threads, machines
+//! that prove themselves inert until a far-future cycle park in a
+//! wake-ordered heap instead of owning a thread, and a deadline lands
+//! between slices instead of only between points. The slice sequence is
+//! provably invisible in the results (see `Machine::step_slice`), so
+//! driver output is byte-identical to a serial run.
 //!
-//! [`run_grid_scheduled`] is the full surface: an optional warm-fork
-//! phase (served from the in-memory [`SnapshotPool`] and/or the on-disk
-//! checkpoint cache), a content-addressed [`ResultCache`] admission
-//! check that short-circuits already-journaled points, an optional
-//! deadline (interrupted machines record [`PartialPoint`] progress and
-//! the shard journal resumes the rest later), and per-point worker
-//! attribution.
+//! An optional warm-fork phase runs first, on the same driver: one task
+//! per missing warm state, published into the [`SnapshotPool`] and
+//! written through to the checkpoint directory when one is set. A
+//! deadline stops admission in either phase (interrupted machines
+//! record [`PartialPoint`] progress and the shard journal resumes the
+//! rest later), and every result names the worker that finished it.
 
 use crate::{build_restore_target, build_workload_machine, HarnessOpts, MetricsSpec, RunRecord};
 use mi6_core::{CpiCategory, CpiStack};
-use mi6_grid::{MachineDriver, ResultCache, Scheduler, SliceTask, Step, WorkerCtx};
+use mi6_grid::{MachineDriver, SliceTask, Step, WorkerCtx};
 use mi6_soc::{Machine, PoolKey, SliceOutcome, SnapshotPool, Variant};
 use mi6_workloads::Workload;
 use std::collections::BTreeMap;
@@ -46,9 +45,8 @@ impl GridPoint {
     ///
     /// The key is the identity a point has *everywhere* — it dedupes
     /// shared passes across figures, assigns the point to a shard
-    /// (`mi6_grid::shard_of`), identifies it in the shard journal,
-    /// addresses the point's result in the [`ResultCache`], and is
-    /// what `merge` validates coverage over. Its format is an on-disk
+    /// (`mi6_grid::shard_of`), identifies it in the shard journal, and
+    /// is what `merge` validates coverage over. Its format is an on-disk
     /// contract; never change it without a migration story.
     pub fn key(&self) -> String {
         format!(
@@ -63,7 +61,7 @@ impl GridPoint {
 }
 
 /// The `worker` value marking a result aggregated across seeds (see
-/// `mi6_bench::mean_results`) rather than produced by one scheduler
+/// `mi6_bench::mean_results`) rather than produced by one driver
 /// worker. Distinct from any real worker id so the shard-balance report
 /// built from journal `wall_ms`/`worker` fields can exclude aggregated
 /// points instead of silently crediting them all to worker 0.
@@ -320,10 +318,9 @@ pub fn default_threads() -> usize {
 
 /// Warm-fork configuration: simulate each point's warm-up prefix once,
 /// snapshot it, and start every grid run from the warmed state. Warm
-/// states live in the in-memory [`SnapshotPool`] (when the schedule has
-/// one), on disk under `dir` (when set), or both — the pool serves
-/// restores without file I/O, the directory makes them durable across
-/// invocations and shard hosts.
+/// states live in the in-memory [`SnapshotPool`], which serves restores
+/// without file I/O; `dir` adds a write-through tier on disk that makes
+/// them durable across invocations and shard hosts.
 ///
 /// Two modes:
 ///
@@ -343,8 +340,7 @@ pub struct WarmFork {
     /// Cycles of warm-up to simulate before the snapshot.
     pub warmup_cycles: u64,
     /// On-disk snapshot cache; `None` runs pool-only (warm states live
-    /// and die with the process, so the schedule must supply a
-    /// [`SnapshotPool`]).
+    /// and die with the grid's pool).
     pub dir: Option<PathBuf>,
     /// Warm on BASE once per workload and fork across variants.
     pub fork_base: bool,
@@ -411,10 +407,10 @@ impl WarmFork {
         }
     }
 
-    /// Simulates one warm-up and publishes its snapshot to the pool (if
-    /// given) and to disk (if a directory is configured; written
-    /// atomically, so a preempted run never leaves a torn file behind).
-    fn create_snapshot(&self, point: &GridPoint, pool: Option<&SnapshotPool>) {
+    /// Simulates one warm-up and publishes its snapshot to the pool and,
+    /// if a directory is configured, to disk (written atomically, so a
+    /// preempted run never leaves a torn file behind).
+    fn create_snapshot(&self, point: &GridPoint, pool: &SnapshotPool) {
         let variant = self.warm_variant(point);
         let mut machine = build_workload_machine(variant, point.workload, &point.opts, None, None);
         machine.run_cycles(self.warmup_cycles);
@@ -451,9 +447,7 @@ impl WarmFork {
                 .and_then(|()| std::fs::rename(&tmp, &path))
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         }
-        if let Some(pool) = pool {
-            pool.insert(self.pool_key(point, &machine), bytes);
-        }
+        pool.insert(self.pool_key(point, &machine), bytes);
     }
 }
 
@@ -489,11 +483,6 @@ pub const SLICE_CYCLES: u64 = 4_000_000;
 pub struct GridSchedule<'w> {
     /// Worker thread count.
     pub threads: usize,
-    /// Warm-ups claimed per queue visit in the warm-fork phase (0 =
-    /// auto; see [`mi6_grid::Scheduler`]). The measurement phase admits
-    /// machines one at a time — a slice is long enough that claim
-    /// batching has nothing left to amortize.
-    pub batch: usize,
     /// Optional warm-fork phase.
     pub warm: Option<&'w WarmFork>,
     /// Stop admitting new points and cancel in-flight machines once this
@@ -512,14 +501,9 @@ pub struct GridSchedule<'w> {
     pub slice: u64,
     /// In-memory warm-snapshot pool: warm states are published here by
     /// the warm phase and restores are served from it without file I/O.
+    /// Share one across calls to reuse warm states; `None` gives the
+    /// call a private pool.
     pub pool: Option<Arc<SnapshotPool>>,
-    /// Content-addressed result cache: points whose key is already
-    /// cached under this grid's warm tag are replayed without
-    /// simulation, and every computed result is inserted.
-    pub cache: Option<Arc<ResultCache>>,
-    /// Force warm restores to read snapshots from disk even when the
-    /// pool holds them (the bench's pool-vs-disk comparison switch).
-    pub warm_from_disk: bool,
 }
 
 impl<'w> GridSchedule<'w> {
@@ -527,25 +511,22 @@ impl<'w> GridSchedule<'w> {
     pub fn new(threads: usize) -> GridSchedule<'w> {
         GridSchedule {
             threads,
-            batch: 0,
             warm: None,
             deadline: None,
             metrics: None,
             mux: 1,
             slice: 0,
             pool: None,
-            cache: None,
-            warm_from_disk: false,
         }
     }
 }
 
 /// What a scheduled grid run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GridOutcome {
     /// Per-point results in `points` order; `None` = cancelled/unstarted.
     pub results: Vec<Option<PointResult>>,
-    /// Points that finished (simulated or replayed from the cache).
+    /// Points that finished.
     pub completed: usize,
     /// Points that did not (deadline).
     pub cancelled: usize,
@@ -554,37 +535,6 @@ pub struct GridOutcome {
     /// Partial progress of interrupted points (machines that had started
     /// when the deadline/cancel landed), for journaling and reporting.
     pub partials: Vec<PartialPoint>,
-}
-
-/// Runs every grid point across `threads` worker threads.
-///
-/// `on_result` is invoked on the caller's thread as each point finishes
-/// (in completion order — use it for streaming output, not rendering).
-/// The returned vector is in `points` order.
-pub fn run_grid(
-    points: &[GridPoint],
-    threads: usize,
-    on_result: impl FnMut(&PointResult),
-) -> Vec<PointResult> {
-    run_grid_with(points, threads, None, on_result)
-}
-
-/// [`run_grid`] with an optional warm-fork phase: missing warm snapshots
-/// are generated first (in parallel, one per unique warm-up), then every
-/// grid point starts from its warmed state.
-pub fn run_grid_with(
-    points: &[GridPoint],
-    threads: usize,
-    warm: Option<&WarmFork>,
-    on_result: impl FnMut(&PointResult),
-) -> Vec<PointResult> {
-    let mut schedule = GridSchedule::new(threads);
-    schedule.warm = warm;
-    run_grid_scheduled(points, &schedule, on_result)
-        .results
-        .into_iter()
-        .map(|r| r.expect("every grid point completed (no deadline set)"))
-        .collect()
 }
 
 /// One in-flight grid point driven in slices by the machine driver.
@@ -596,7 +546,9 @@ pub fn run_grid_with(
 /// the old run-to-completion path.
 struct PointTask<'a> {
     point: GridPoint,
-    schedule: &'a GridSchedule<'a>,
+    warm: Option<&'a WarmFork>,
+    /// Where warm states are served from.
+    pool: &'a SnapshotPool,
     warm_tag: &'a str,
     cancel: Arc<AtomicBool>,
     /// Slice budget in simulated cycles.
@@ -621,12 +573,12 @@ struct PointTask<'a> {
 }
 
 impl PointTask<'_> {
-    /// Builds the point's machine (cold, or restored from the warm pool
-    /// or disk cache) and arms the run.
+    /// Builds the point's machine (cold, or restored from its warm
+    /// state) and arms the run.
     fn build(&self) -> (Machine, u64) {
         let p = &self.point;
         let cancel = Some(Arc::clone(&self.cancel));
-        let mut built = match self.schedule.warm {
+        let mut built = match self.warm {
             None => (
                 build_workload_machine(
                     p.variant,
@@ -657,20 +609,13 @@ impl PointTask<'_> {
         built
     }
 
-    /// Fetches the point's warm snapshot: from the pool when allowed and
-    /// present, else from disk (publishing the bytes back into the pool
-    /// so sibling points skip the read).
+    /// Fetches the point's warm snapshot: from the pool, else from the
+    /// checkpoint dir (publishing the bytes into the pool so sibling
+    /// points skip the read).
     fn warm_blob(&self, warm: &WarmFork, machine: &Machine) -> Arc<Vec<u8>> {
-        let pool = self
-            .schedule
-            .pool
-            .as_deref()
-            .filter(|_| !self.schedule.warm_from_disk);
-        let key = pool.map(|_| warm.pool_key(&self.point, machine));
-        if let (Some(pool), Some(key)) = (pool, &key) {
-            if let Some(blob) = pool.get(key) {
-                return blob;
-            }
+        let key = warm.pool_key(&self.point, machine);
+        if let Some(blob) = self.pool.get(&key) {
+            return blob;
         }
         let path = warm.snapshot_path(&self.point).unwrap_or_else(|| {
             panic!(
@@ -680,10 +625,7 @@ impl PointTask<'_> {
         });
         let bytes =
             std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        match (pool, key) {
-            (Some(pool), Some(k)) => pool.insert(k.clone(), bytes),
-            _ => Arc::new(bytes),
-        }
+        self.pool.insert(key, bytes)
     }
 
     /// Records the point's progress at an interruption.
@@ -750,61 +692,36 @@ impl SliceTask for PointTask<'_> {
     }
 }
 
-/// The full scheduled grid run: cache admission, then the warm-fork
-/// phase for the points that still need simulating (if configured), then
-/// the measurement phase on the slice-multiplexing machine driver, with
-/// per-point cancellation against the deadline.
+/// The grid run: the warm-fork phase (if configured), then the
+/// measurement phase, both on the slice-multiplexing machine driver,
+/// with per-point cancellation against the deadline.
+///
+/// `on_result` is invoked on the caller's thread as each point finishes
+/// (in completion order — use it for streaming output, not rendering).
+/// [`GridOutcome::results`] is in `points` order.
 pub fn run_grid_scheduled(
     points: &[GridPoint],
     schedule: &GridSchedule<'_>,
     mut on_result: impl FnMut(&PointResult),
 ) -> GridOutcome {
-    let n = points.len();
-    if n == 0 {
-        return GridOutcome {
-            results: Vec::new(),
-            completed: 0,
-            cancelled: 0,
-            deadline_hit: false,
-            partials: Vec::new(),
-        };
+    if points.is_empty() {
+        return GridOutcome::default();
     }
     let warm_tag = match schedule.warm {
         None => "cold".to_string(),
         Some(w) if w.fork_base => format!("forkbase:{}", w.warmup_cycles),
         Some(w) => format!("exact:{}", w.warmup_cycles),
     };
-    // Result-cache admission: a point whose key is already cached under
-    // this grid's warm-up methodology is replayed, never simulated. The
-    // warm-tag check keeps fork-base and cold/exact results from
-    // cross-contaminating a grid (which would poison the merge's
-    // warm-consistency check).
-    let mut results: Vec<Option<PointResult>> = vec![None; n];
-    let mut todo: Vec<usize> = Vec::with_capacity(n);
-    match &schedule.cache {
-        None => todo.extend(0..n),
-        Some(cache) => {
-            for (i, p) in points.iter().enumerate() {
-                let hit = cache
-                    .get(&p.key())
-                    .and_then(|line| PointResult::from_json(&line).ok())
-                    .filter(|r| r.warm == warm_tag);
-                match hit {
-                    Some(r) => {
-                        on_result(&r);
-                        results[i] = Some(r);
-                    }
-                    None => todo.push(i),
-                }
-            }
+    let private_pool;
+    let pool = match &schedule.pool {
+        Some(pool) => pool.as_ref(),
+        None => {
+            private_pool = SnapshotPool::new();
+            &private_pool
         }
-    }
-    let cached = n - todo.len();
+    };
     if let Some(warm) = schedule.warm {
-        if !todo.is_empty() {
-            let need: Vec<GridPoint> = todo.iter().map(|&i| points[i]).collect();
-            run_warm_phase(&need, schedule, warm);
-        }
+        run_warm_phase(points, schedule, warm, pool);
     }
     if let Some(metrics) = &schedule.metrics {
         std::fs::create_dir_all(&metrics.dir)
@@ -822,72 +739,76 @@ pub fn run_grid_scheduled(
         .with_deadline(schedule.deadline);
     driver.cancel = Some(Arc::clone(&cancel));
     let outcome = driver.run(
-        todo.len(),
-        |j| PointTask {
-            point: points[todo[j]],
-            schedule,
+        points.len(),
+        |i| PointTask {
+            point: points[i],
+            warm: schedule.warm,
+            pool,
             warm_tag: &warm_tag,
             cancel: Arc::clone(&cancel),
             slice,
             partials: &partials,
             machine: None,
             metrics: schedule.metrics.as_ref().map(|g| MetricsSpec {
-                path: g.artifact_path(&points[todo[j]]),
+                path: g.artifact_path(&points[i]),
                 every: g.every,
             }),
             boost: 0,
             last_worker: 0,
             wall: Duration::ZERO,
         },
-        |_j, res| {
-            if let Some(cache) = &schedule.cache {
-                cache.insert(res.point.key(), res.to_json());
-            }
-            on_result(res);
-        },
+        |_, res| on_result(res),
     );
-    for (j, r) in outcome.results.into_iter().enumerate() {
-        results[todo[j]] = r;
-    }
     GridOutcome {
-        results,
-        completed: cached + outcome.completed,
+        results: outcome.results,
+        completed: outcome.completed,
         cancelled: outcome.cancelled,
         deadline_hit: outcome.deadline_hit,
         partials: partials.into_inner().unwrap(),
     }
 }
 
-/// The warm-fork phase: one simulation per unique warm tag not already
-/// served by the pool or the disk cache, on the run-to-completion
-/// scheduler (warm-ups never idle, so slicing buys nothing there).
-fn run_warm_phase(points: &[GridPoint], schedule: &GridSchedule<'_>, warm: &WarmFork) {
-    let pool = schedule.pool.as_deref();
-    assert!(
-        warm.dir.is_some() || pool.is_some(),
-        "a warm-fork phase needs a checkpoint dir or a snapshot pool to keep warm states in"
-    );
-    assert!(
-        !(schedule.warm_from_disk && warm.dir.is_none()),
-        "warm_from_disk needs a checkpoint dir to read snapshots from"
-    );
+/// One warm-up as a driver task: its single step simulates the prefix
+/// and publishes the snapshot (warm-ups never idle, so slicing would buy
+/// nothing).
+struct WarmTask<'a> {
+    warm: &'a WarmFork,
+    point: GridPoint,
+    pool: &'a SnapshotPool,
+}
+
+impl SliceTask for WarmTask<'_> {
+    type Done = ();
+
+    fn step(&mut self, _ctx: &WorkerCtx) -> Step<()> {
+        self.warm.create_snapshot(&self.point, self.pool);
+        Step::Done(())
+    }
+}
+
+/// The warm-fork phase: one warm-up per unique warm tag that neither
+/// the pool nor the checkpoint dir already holds.
+fn run_warm_phase(
+    points: &[GridPoint],
+    schedule: &GridSchedule<'_>,
+    warm: &WarmFork,
+    pool: &SnapshotPool,
+) {
     if let Some(dir) = &warm.dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
     }
-    // One warm-up per unique warm state; skip states the measurement
-    // phase can already obtain (a pool entry, or a snapshot file from an
-    // earlier invocation / another shard host).
+    // A snapshot file from an earlier invocation or another shard host
+    // counts as held: the measurement phase reads it into the pool.
     let mut pending: BTreeMap<String, GridPoint> = BTreeMap::new();
     for p in points {
         let tag = warm.warm_tag(p);
         let on_disk = warm.snapshot_path(p).is_some_and(|path| path.exists());
-        let in_pool = !schedule.warm_from_disk && pool.is_some_and(|pl| pl.contains_tag(&tag));
-        if !on_disk && !in_pool {
+        if !on_disk && !pool.contains_tag(&tag) {
             pending.entry(tag).or_insert(*p);
         }
     }
-    let todo: Vec<(String, GridPoint)> = pending.into_iter().collect();
+    let todo: Vec<GridPoint> = pending.into_values().collect();
     if todo.is_empty() {
         return;
     }
@@ -898,25 +819,18 @@ fn run_warm_phase(points: &[GridPoint], schedule: &GridSchedule<'_>, warm: &Warm
     );
     // Deadline granularity here is one warm-up: a warm-up that has
     // started always completes and publishes its snapshot (later
-    // invocations reuse it), but no new ones are claimed past the
-    // deadline.
-    Scheduler::new(schedule.threads)
-        .with_batch(schedule.batch)
+    // invocations reuse it), but none starts past the deadline.
+    MachineDriver::new(schedule.threads)
         .with_deadline(schedule.deadline)
         .run(
-            &todo,
-            |_ctx, _i, (_tag, point)| {
-                warm.create_snapshot(point, pool);
-                Some(())
+            todo.len(),
+            |i| WarmTask {
+                warm,
+                point: todo[i],
+                pool,
             },
             |_, _| {},
         );
-}
-
-/// The full variant×workload grid for one variant (all eleven paper
-/// workloads).
-pub fn variant_points(variant: Variant, opts: HarnessOpts) -> Vec<GridPoint> {
-    variant_points_for(variant, opts, &Workload::ALL)
 }
 
 /// One variant's grid over an explicit workload set (how `--workload`
@@ -945,6 +859,23 @@ mod tests {
         HarnessOpts::default().with_kinsts(10).with_timer(0)
     }
 
+    /// One variant over all eleven paper workloads.
+    fn variant_points(variant: Variant) -> Vec<GridPoint> {
+        variant_points_for(variant, tiny_opts(), &Workload::ALL)
+    }
+
+    /// Runs every point to completion on `threads` workers, optionally
+    /// warm-started (on a private pool).
+    fn run(points: &[GridPoint], threads: usize, warm: Option<&WarmFork>) -> Vec<PointResult> {
+        let mut schedule = GridSchedule::new(threads);
+        schedule.warm = warm;
+        run_grid_scheduled(points, &schedule, |_| {})
+            .results
+            .into_iter()
+            .map(|r| r.expect("every grid point completed (no deadline set)"))
+            .collect()
+    }
+
     #[test]
     fn grid_results_arrive_in_point_order() {
         let points = [
@@ -965,8 +896,9 @@ mod tests {
             },
         ];
         let mut streamed = 0usize;
-        let results = run_grid(&points, 3, |_| streamed += 1);
+        let out = run_grid_scheduled(&points, &GridSchedule::new(3), |_| streamed += 1);
         assert_eq!(streamed, 3);
+        let results: Vec<_> = out.results.into_iter().flatten().collect();
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].record.name, "hmmer");
         assert_eq!(results[1].record.name, "sjeng");
@@ -978,9 +910,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let points = variant_points(Variant::Base, tiny_opts())[..3].to_vec();
-        let serial = run_grid(&points, 1, |_| {});
-        let parallel = run_grid(&points, 3, |_| {});
+        let points = variant_points(Variant::Base)[..3].to_vec();
+        let serial = run(&points, 1, None);
+        let parallel = run(&points, 3, None);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.record.cycles, b.record.cycles, "{}", a.record.name);
             assert_eq!(a.record.instructions, b.record.instructions);
@@ -993,9 +925,9 @@ mod tests {
         // cycles and genuine interleaving (16 machines over 2 workers);
         // the records must still be byte-identical to a serial
         // one-machine-at-a-time run.
-        let mut points = variant_points(Variant::Base, tiny_opts())[..3].to_vec();
-        points.extend(variant_points(Variant::Arb, tiny_opts())[..3].to_vec());
-        let serial = run_grid(&points, 1, |_| {});
+        let mut points = variant_points(Variant::Base)[..3].to_vec();
+        points.extend(variant_points(Variant::Arb)[..3].to_vec());
+        let serial = run(&points, 1, None);
         let mut schedule = GridSchedule::new(2);
         schedule.mux = 8;
         schedule.slice = 20_000;
@@ -1037,7 +969,7 @@ mod tests {
                 opts: tiny_opts(),
             },
         ];
-        let cold = run_grid(&points, 2, |_| {});
+        let cold = run(&points, 2, None);
         let warm = WarmFork {
             warmup_cycles: 4_000,
             dir: Some(dir.clone()),
@@ -1045,7 +977,7 @@ mod tests {
         };
         // First pass simulates the warm-ups; the second reuses the cache.
         for pass in 0..2 {
-            let warmed = run_grid_with(&points, 2, Some(&warm), |_| {});
+            let warmed = run(&points, 2, Some(&warm));
             for (c, f) in cold.iter().zip(&warmed) {
                 assert_eq!(c.record.cycles, f.record.cycles, "pass {pass}");
                 assert_eq!(c.record.instructions, f.record.instructions);
@@ -1073,7 +1005,7 @@ mod tests {
                 opts: tiny_opts(),
             },
         ];
-        let cold = run_grid(&points, 2, |_| {});
+        let cold = run(&points, 2, None);
         let warm = WarmFork {
             warmup_cycles: 4_000,
             dir: None,
@@ -1125,22 +1057,24 @@ mod tests {
             dir: Some(dir.clone()),
             fork_base: true,
         };
-        let a = run_grid_with(&points, 2, Some(&warm), |_| {});
+        let a = run(&points, 2, Some(&warm));
         // Both variants forked from one shared BASE-warmed snapshot.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         // The BASE point is an exact continuation: identical to a cold run.
-        let cold = run_grid(&points[..1], 1, |_| {});
+        let cold = run(&points[..1], 1, None);
         assert_eq!(a[0].record.cycles, cold[0].record.cycles);
         assert_eq!(a[0].record.instructions, cold[0].record.instructions);
         // Forked runs are deterministic and complete.
-        let b = run_grid_with(&points, 2, Some(&warm), |_| {});
+        let b = run(&points, 2, Some(&warm));
         assert_eq!(a[1].record.cycles, b[1].record.cycles);
         assert!(a[1].record.instructions > 5_000);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn result_cache_short_circuits_repeated_points() {
+    fn private_pool_warm_grid_matches_cold_runs() {
+        // Neither a shared pool nor a checkpoint dir: the grid keeps its
+        // warm states in a pool of its own for the call.
         let points = [
             GridPoint {
                 variant: Variant::Base,
@@ -1149,44 +1083,51 @@ mod tests {
             },
             GridPoint {
                 variant: Variant::Fpma,
-                workload: Workload::Sjeng,
+                workload: Workload::Hmmer,
                 opts: tiny_opts(),
             },
         ];
-        let cache = Arc::new(ResultCache::new());
-        let mut schedule = GridSchedule::new(2);
-        schedule.cache = Some(Arc::clone(&cache));
-        let first = run_grid_scheduled(&points, &schedule, |_| {});
-        assert_eq!(first.completed, 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (0, 2));
-        // Second grid over the same cache: every point replays, nothing
-        // simulates, and the journal lines are byte-identical.
-        let mut streamed = 0usize;
-        let second = run_grid_scheduled(&points, &schedule, |_| streamed += 1);
-        assert_eq!(streamed, 2);
-        assert_eq!(second.completed, 2);
-        assert_eq!(cache.stats(), (2, 2));
-        for (a, b) in first.results.iter().zip(&second.results) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.to_json(), b.to_json());
-        }
-        // A warm-tag mismatch is a miss, not a poisoned hit: the same
-        // points under a fork-base schedule ignore the cold entries.
         let warm = WarmFork {
-            warmup_cycles: 2_000,
+            warmup_cycles: 4_000,
             dir: None,
-            fork_base: true,
+            fork_base: false,
         };
-        let mut fb = GridSchedule::new(2);
-        fb.warm = Some(&warm);
-        fb.pool = Some(Arc::new(SnapshotPool::new()));
-        fb.cache = Some(Arc::clone(&cache));
-        let forked = run_grid_scheduled(&points, &fb, |_| {});
-        assert_eq!(forked.completed, 2);
-        for r in forked.results.iter().flatten() {
-            assert_eq!(r.warm, "forkbase:2000");
+        let cold = run(&points, 2, None);
+        let warmed = run(&points, 2, Some(&warm));
+        for (c, w) in cold.iter().zip(&warmed) {
+            assert_eq!(c.record.cycles, w.record.cycles);
+            assert_eq!(c.record.instructions, w.record.instructions);
+            assert_eq!(c.record.traps, w.record.traps);
+            assert_eq!(w.warm, "exact:4000");
         }
+    }
+
+    #[test]
+    fn expired_deadline_on_a_warm_grid_simulates_nothing() {
+        let dir = scratch_dir("expired");
+        let points = variant_points(Variant::Base);
+        let warm = WarmFork {
+            warmup_cycles: 4_000,
+            dir: Some(dir.clone()),
+            fork_base: false,
+        };
+        let pool = Arc::new(SnapshotPool::new());
+        let mut schedule = GridSchedule::new(2);
+        schedule.warm = Some(&warm);
+        schedule.pool = Some(Arc::clone(&pool));
+        schedule.deadline = Some(Instant::now());
+        let out = run_grid_scheduled(&points, &schedule, |_| {});
+        assert!(out.deadline_hit);
+        assert_eq!(out.completed, 0);
+        assert_eq!(out.cancelled, points.len());
+        assert!(out.partials.is_empty());
+        assert!(pool.is_empty(), "a warm-up ran past the deadline");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "a snapshot file was written past the deadline"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1196,7 +1137,7 @@ mod tests {
             workload: Workload::Hmmer,
             opts: tiny_opts(),
         }];
-        let results = run_grid(&points, 1, |_| {});
+        let results = run(&points, 1, None);
         let json = results[0].to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"variant\":\"BASE\""));
@@ -1227,7 +1168,7 @@ mod tests {
             workload: Workload::Sjeng,
             opts: tiny_opts().with_seed(0xDEAD_BEEF_1234_5678),
         }];
-        let results = run_grid(&points, 1, |_| {});
+        let results = run(&points, 1, None);
         let parsed = PointResult::from_json(&results[0].to_json()).unwrap();
         assert_eq!(parsed.point.key(), results[0].point.key());
         assert_eq!(parsed.record.cycles, results[0].record.cycles);
@@ -1285,7 +1226,7 @@ mod tests {
             workload: Workload::Hmmer,
             opts: tiny_opts(),
         }];
-        let full = run_grid(&points, 1, |_| {}).remove(0).to_json();
+        let full = run(&points, 1, None).remove(0).to_json();
         assert!(!is_partial_line(&full));
         assert!(!is_partial_line("not json at all"));
     }
@@ -1306,7 +1247,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_cancels_everything_cleanly() {
-        let points = variant_points(Variant::Base, tiny_opts());
+        let points = variant_points(Variant::Base);
         let mut schedule = GridSchedule::new(2);
         schedule.deadline = Some(Instant::now());
         let mut streamed = 0usize;
@@ -1360,8 +1301,8 @@ mod tests {
 
     #[test]
     fn worker_ids_are_recorded() {
-        let points = variant_points(Variant::Base, tiny_opts());
-        let results = run_grid(&points, 3, |_| {});
+        let points = variant_points(Variant::Base);
+        let results = run(&points, 3, None);
         assert!(results.iter().all(|r| r.worker < 3));
     }
 }

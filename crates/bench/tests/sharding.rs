@@ -7,13 +7,29 @@
 //!   journal without recomputing finished points.
 
 use mi6_bench::sharding::{load_shard_dir, merge_shards, open_shard_journal, MergeError};
-use mi6_bench::{plan_grid, run_grid, GridPlan, HarnessOpts};
+use mi6_bench::{
+    plan_grid, run_grid_scheduled, GridPlan, GridPoint, GridSchedule, HarnessOpts, PointResult,
+};
 use mi6_grid::ShardSpec;
 use mi6_workloads::Workload;
 use std::path::{Path, PathBuf};
 
 fn tiny_opts() -> HarnessOpts {
     HarnessOpts::default().with_kinsts(10).with_timer(0)
+}
+
+/// Runs every point to completion on `threads` workers, streaming each
+/// result to `on_result` as it finishes.
+fn run_grid(
+    points: &[GridPoint],
+    threads: usize,
+    on_result: impl FnMut(&PointResult),
+) -> Vec<PointResult> {
+    run_grid_scheduled(points, &GridSchedule::new(threads), on_result)
+        .results
+        .into_iter()
+        .map(|r| r.expect("no deadline set"))
+        .collect()
 }
 
 fn scratch_dir(label: &str) -> PathBuf {

@@ -1,20 +1,19 @@
-//! The slice-multiplexing machine driver.
+//! The slice-multiplexing machine driver: the grid's one executor.
 //!
-//! The work-stealing [`crate::Scheduler`] gives every task a thread for
-//! its whole lifetime — fine when tasks run hot start to finish, wasteful
-//! when they spend most of their time provably inert (a machine stalled
-//! on a far-future timer interrupt still owns its thread). The driver
-//! breaks that coupling: tasks implement [`SliceTask`] and run in
-//! *slices*, so M in-flight tasks multiplex over K worker threads
-//! (`capacity = workers × mux`). Runnable tasks wait in a shared FIFO;
-//! tasks that report themselves blocked until a future simulated cycle
-//! park in a min-heap keyed by wake cycle, and are resumed
-//! earliest-deadline-first once no runnable work remains.
+//! Tasks implement [`SliceTask`] and run in *slices*, so M in-flight
+//! tasks multiplex over K worker threads (`capacity = workers × mux`)
+//! instead of each owning a thread for its whole lifetime (a machine
+//! stalled on a far-future timer interrupt need not hold one). Runnable
+//! tasks wait in a shared FIFO; tasks that report themselves blocked
+//! until a future simulated cycle park in a min-heap keyed by wake
+//! cycle, and are resumed earliest-deadline-first once no runnable work
+//! remains. A task that finishes in one slice (a warm-up, say) is just a
+//! task whose first step returns [`Step::Done`].
 //!
 //! Admission is lazy: task `i` is materialized by the caller's `spawn`
 //! closure only when a worker actually has a slot for it, so a
 //! 10,000-point grid never holds 10,000 machines in memory — at most
-//! `capacity` of them.
+//! `capacity` of them. An admitted task is always stepped at least once.
 //!
 //! Scheduling cannot affect results: each task is stepped by at most one
 //! worker at a time, and a correctly written [`SliceTask`] is
@@ -23,19 +22,30 @@
 //! is invisible), so driver output is byte-identical to serial
 //! execution no matter how slices interleave across workers.
 //!
-//! Cancellation mirrors the scheduler: a shared flag checked between
-//! slices by every worker, an optional deadline armed by a
-//! collector-side watchdog, and cooperative mid-slice interruption left
-//! to the task (machines poll the same flag internally). Tasks that were
-//! started but never finished are handed back one [`SliceTask::abandon`]
-//! call at shutdown so partial progress can be recorded.
+//! Cancellation is cooperative: a shared flag checked between slices by
+//! every worker, an optional deadline armed by a collector-side
+//! watchdog, and mid-slice interruption left to the task (machines poll
+//! the same flag internally, via [`WorkerCtx::cancel`]). A worker checks
+//! the flag and the deadline before every pick, so it admits no task
+//! after seeing either. Tasks that were started but never finished are
+//! handed back one [`SliceTask::abandon`] call at shutdown so partial
+//! progress can be recorded.
 
-use crate::scheduler::WorkerCtx;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// What a worker passes to each slice it runs.
+pub struct WorkerCtx {
+    /// The running worker's id, in `0..workers` (recorded per point so
+    /// shard balance is measurable from the output alone).
+    pub worker: usize,
+    /// The driver-wide cancel flag; hand it to the machine being run so
+    /// cancellation can interrupt a task mid-slice.
+    pub cancel: Arc<AtomicBool>,
+}
 
 /// What one slice of a task produced.
 #[derive(Debug)]
@@ -303,11 +313,10 @@ impl MachineDriver {
                 });
             }
             drop(tx);
-            // Collector doubling as the deadline watchdog, exactly as in
-            // the scheduler: workers only check the clock between
-            // slices, so the recv timeout guarantees the cancel flag is
-            // armed the moment the budget expires even if every worker
-            // is mid-slice.
+            // Collector doubling as the deadline watchdog: workers only
+            // check the clock between slices, so the recv timeout
+            // guarantees the cancel flag is armed the moment the budget
+            // expires even if every worker is mid-slice.
             let mut watchdog = self.deadline;
             loop {
                 let received = match watchdog {

@@ -9,18 +9,13 @@
 //!   canonical key string, and a stable hash assigns each key to shard
 //!   `i` of `N`. Any set of hosts that covers `0/N .. N-1/N` covers the
 //!   grid exactly once, with no scheduler process anywhere.
-//! - [`scheduler`] — the in-process work-stealing scheduler: per-worker
-//!   queues, batched claims (many short simulations per lock), steal-on-
-//!   empty, a cooperative cancel flag, and an optional deadline that
-//!   cancels in-flight work so a shard can stop cleanly and resume later.
-//! - [`driver`] — the slice-multiplexing machine driver: M in-flight
-//!   resumable tasks over K worker threads, runnable tasks in a FIFO,
-//!   blocked tasks parked in a min-heap keyed by wake cycle. Built for
-//!   tasks that implement the simulator's `step_slice` contract, where
-//!   the slice sequence is provably invisible in the results.
-//! - [`cache`] — the content-addressed result cache: canonical point key
-//!   → journaled line, the admission layer a result-serving daemon sits
-//!   on.
+//! - [`driver`] — the one executor: M in-flight resumable tasks over K
+//!   worker threads, runnable tasks in a FIFO, blocked tasks parked in a
+//!   min-heap keyed by wake cycle, with a cooperative cancel flag and an
+//!   optional deadline that cancels in-flight work so a shard can stop
+//!   cleanly and resume later. Built for tasks that implement the
+//!   simulator's `step_slice` contract, where the slice sequence is
+//!   provably invisible in the results.
 //! - [`journal`] — the resumable shard journal: one JSONL file per shard,
 //!   appended line-by-line as points complete; restarting a shard reads
 //!   the journal back and skips finished points (a torn trailing line
@@ -34,20 +29,16 @@
 //!
 //! The crate is deliberately generic — it knows nothing about machines,
 //! variants, or workloads. `mi6-bench` supplies the point type, the key
-//! function, and the run closure.
+//! function, and the tasks.
 
-pub mod cache;
 pub mod driver;
 pub mod journal;
 pub mod json;
 pub mod merge;
 pub mod plan;
-pub mod scheduler;
 
-pub use cache::ResultCache;
-pub use driver::{DriverOutcome, MachineDriver, SliceTask, Step};
+pub use driver::{DriverOutcome, MachineDriver, SliceTask, Step, WorkerCtx};
 pub use journal::Journal;
 pub use json::{parse_object, JsonValue};
 pub use merge::{validate_coverage, Coverage};
 pub use plan::{shard_of, ShardSpec};
-pub use scheduler::{Scheduler, SchedulerOutcome, WorkerCtx};

@@ -79,8 +79,6 @@ pub enum SnapError {
         /// Which structure still held in-flight state.
         what: String,
     },
-    /// An I/O error while reading or writing a snapshot file.
-    Io(String),
 }
 
 impl fmt::Display for SnapError {
@@ -102,18 +100,11 @@ impl fmt::Display for SnapError {
                 "snapshot has in-flight {what}; forking across configurations requires a \
                  memory-quiescent snapshot (see Machine::run_until_mem_quiescent)"
             ),
-            SnapError::Io(e) => write!(f, "snapshot i/o: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapError {}
-
-impl From<std::io::Error> for SnapError {
-    fn from(e: std::io::Error) -> SnapError {
-        SnapError::Io(e.to_string())
-    }
-}
 
 /// FNV-1a over a byte string; used for configuration fingerprints.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

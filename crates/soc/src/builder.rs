@@ -26,7 +26,6 @@ use crate::machine::{Machine, MachineConfig};
 use crate::variant::Variant;
 use mi6_core::{CoreConfig, SecurityConfig};
 use mi6_mem::MemConfig;
-use mi6_snapshot::SnapError;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -37,19 +36,16 @@ use std::sync::Arc;
 pub enum BuildError {
     /// A placed workload did not fit its core's physical window.
     Load(LoadError),
-    /// `restore_from` could not read the checkpoint file.
+    /// An observability output ([`SimBuilder::trace_path`] or
+    /// [`SimBuilder::metrics`]) could not be created.
     Io(String),
-    /// The checkpoint failed to decode or does not match the configured
-    /// machine.
-    Restore(SnapError),
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::Load(e) => write!(f, "loading workload: {e}"),
-            BuildError::Io(e) => write!(f, "reading checkpoint: {e}"),
-            BuildError::Restore(e) => write!(f, "restoring checkpoint: {e}"),
+            BuildError::Io(e) => write!(f, "creating observability output: {e}"),
         }
     }
 }
@@ -59,12 +55,6 @@ impl std::error::Error for BuildError {}
 impl From<LoadError> for BuildError {
     fn from(e: LoadError) -> BuildError {
         BuildError::Load(e)
-    }
-}
-
-impl From<SnapError> for BuildError {
-    fn from(e: SnapError) -> BuildError {
-        BuildError::Restore(e)
     }
 }
 
@@ -87,10 +77,6 @@ pub struct SimBuilder {
     sec_cfg: Option<SecurityConfig>,
     mem_cfg: Option<MemConfig>,
     programs: Vec<(usize, Program)>,
-    ckpt_every: u64,
-    ckpt_dir: Option<PathBuf>,
-    restore_path: Option<PathBuf>,
-    restore_bytes: Option<(Arc<Vec<u8>>, bool)>,
     cancel: Option<Arc<AtomicBool>>,
     trace_path: Option<PathBuf>,
     trace_limit: u64,
@@ -110,10 +96,6 @@ impl SimBuilder {
             sec_cfg: None,
             mem_cfg: None,
             programs: Vec::new(),
-            ckpt_every: 0,
-            ckpt_dir: None,
-            restore_path: None,
-            restore_bytes: None,
             cancel: None,
             trace_path: None,
             trace_limit: 0,
@@ -125,11 +107,6 @@ impl SimBuilder {
     /// Shorthand for `SimBuilder::new(Variant::Base)`.
     pub fn base() -> SimBuilder {
         SimBuilder::new(Variant::Base)
-    }
-
-    /// The variant this builder configures.
-    pub fn variant_sel(&self) -> Variant {
-        self.variant
     }
 
     /// Sets the number of cores (default 1).
@@ -197,30 +174,13 @@ impl SimBuilder {
         self
     }
 
-    /// Writes an automatic checkpoint every `cycles` cycles while the
-    /// machine runs (0 disables; the default). Checkpoints land in the
-    /// [`SimBuilder::checkpoint_dir`] as `ckpt-<cycle>.mi6snap`, so a
-    /// preempted run can resume from the newest one via
-    /// [`SimBuilder::restore_from`].
-    pub fn checkpoint_every(mut self, cycles: u64) -> SimBuilder {
-        self.ckpt_every = cycles;
-        self
-    }
-
-    /// Sets the directory automatic checkpoints are written to
-    /// (default: the current directory).
-    pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> SimBuilder {
-        self.ckpt_dir = Some(dir.into());
-        self
-    }
-
     /// Installs a cooperative cancellation flag: while the machine runs
-    /// (`run_to_completion`), the flag is polled every few thousand
-    /// cycles, and raising it makes the run return
+    /// (`run_to_completion` or `step_slice`), the flag is polled every few
+    /// thousand cycles, and raising it makes the run return
     /// [`crate::RunError::Cancelled`] instead of simulating on. The grid
-    /// scheduler hands every machine of a batch the same flag, so a
-    /// deadline (or a per-point cancel) interrupts in-flight simulations
-    /// mid-machine, not just between points.
+    /// driver hands every machine the same flag, so a deadline
+    /// interrupts in-flight simulations mid-machine, not just between
+    /// points.
     pub fn cancel_flag(mut self, flag: Arc<AtomicBool>) -> SimBuilder {
         self.cancel = Some(flag);
         self
@@ -256,36 +216,15 @@ impl SimBuilder {
         self
     }
 
-    /// Restores the machine from a checkpoint file right after `build()`
-    /// assembles it. The checkpoint must match the configured machine
-    /// exactly (same variant and knobs); it overwrites any placed
-    /// workloads with the snapshot's memory and images.
-    pub fn restore_from(mut self, path: impl Into<PathBuf>) -> SimBuilder {
-        self.restore_path = Some(path.into());
-        self
-    }
-
-    /// Restores the machine from an in-memory snapshot blob right after
-    /// `build()` — the [`crate::SnapshotPool`] path, which skips the
-    /// file round-trip [`SimBuilder::restore_from`] pays. With `forked`
-    /// the restore is the cross-variant [`crate::Machine::restore_forked`]
-    /// (structural-fingerprint match, security CSRs re-installed);
-    /// otherwise it is the exact [`crate::Machine::restore`].
-    /// Takes precedence over `restore_from` when both are set.
-    pub fn restore_from_bytes(mut self, snapshot: Arc<Vec<u8>>, forked: bool) -> SimBuilder {
-        self.restore_bytes = Some((snapshot, forked));
-        self
-    }
-
-    /// Assembles the machine, loads every placed workload, and applies
-    /// [`SimBuilder::restore_from`] when set.
+    /// Assembles the machine and loads every placed workload. A warm
+    /// start restores into the built machine afterwards
+    /// ([`Machine::restore`] / [`Machine::restore_forked`]).
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::Load`] if a placed program exceeds its
     /// core's physical window or page-table space, and
-    /// [`BuildError::Io`]/[`BuildError::Restore`] when a requested
-    /// checkpoint restore fails.
+    /// [`BuildError::Io`] when a trace or metrics file cannot be created.
     pub fn build(self) -> Result<Machine, BuildError> {
         let cfg = MachineConfig {
             variant: self.variant,
@@ -303,18 +242,6 @@ impl SimBuilder {
         for (core, program) in &self.programs {
             machine.load_user_program(*core, program)?;
         }
-        if let Some((bytes, forked)) = &self.restore_bytes {
-            if *forked {
-                machine.restore_forked(bytes)?;
-            } else {
-                machine.restore(bytes)?;
-            }
-        } else if let Some(path) = &self.restore_path {
-            let bytes = std::fs::read(path)
-                .map_err(|e| BuildError::Io(format!("{}: {e}", path.display())))?;
-            machine.restore(&bytes)?;
-        }
-        machine.set_checkpointing(self.ckpt_every, self.ckpt_dir);
         machine.set_cancel_flag(self.cancel);
         machine
             .set_observability(
@@ -381,42 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_knobs_round_trip_through_files() {
-        let dir = std::env::temp_dir().join(format!("mi6-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // A machine that auto-checkpoints every 2k cycles.
-        let mut m = SimBuilder::base()
-            .without_timer()
-            .checkpoint_every(2_000)
-            .checkpoint_dir(&dir)
-            .build()
-            .unwrap();
-        m.run_cycles(6_500);
-        let mut ckpts: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        ckpts.sort();
-        assert_eq!(ckpts.len(), 3, "checkpoints at 2k, 4k, 6k");
-        // Resume from the newest checkpoint and converge with the original.
-        let mut resumed = SimBuilder::base()
-            .without_timer()
-            .restore_from(ckpts.last().unwrap())
-            .build()
-            .unwrap();
-        assert_eq!(resumed.now(), 6_000);
-        resumed.run_cycles(500);
-        assert_eq!(resumed.now(), m.now());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn restore_from_missing_file_is_io_error() {
+    fn uncreatable_trace_path_is_io_error() {
         let err = SimBuilder::base()
-            .restore_from("/nonexistent/mi6.snap")
+            .trace_path("/nonexistent/mi6.trace")
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::Io(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("creating observability output: /nonexistent/mi6.trace: "),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::kernel::{self, kdata_base, KERNEL_BASE, M_STUB_BASE};
 use crate::loader::{self, FrameAllocator, LoadError, Program, UserImage};
 use crate::variant::Variant;
 use mi6_core::{Core, CoreStats, CpiCategory, CpiStack};
-use mi6_isa::csr;
 use mi6_isa::{Exception, Interrupt, PhysAddr, PrivLevel};
 use mi6_mem::{L1Stats, LlcStats, MemSystem, Port, RegionBitvec, RegionId};
 use std::fmt;
@@ -24,31 +23,6 @@ pub struct MachineConfig {
     pub cores: usize,
     /// Cycles between supervisor timer interrupts (0 disables the timer).
     pub timer_interval: u64,
-}
-
-impl MachineConfig {
-    /// A machine of `cores` cores for one variant, with the default
-    /// 250k-cycle scheduler tick (calibrated so FLUSH's stall fraction
-    /// lands near the paper's 0.4 % average, Figure 6).
-    pub fn variant(variant: Variant, cores: usize) -> MachineConfig {
-        MachineConfig {
-            variant,
-            cores,
-            timer_interval: 250_000,
-        }
-    }
-
-    /// Disables timer interrupts (purely syscall-driven runs).
-    pub fn without_timer(mut self) -> MachineConfig {
-        self.timer_interval = 0;
-        self
-    }
-
-    /// Overrides the timer interval.
-    pub fn with_timer_interval(mut self, interval: u64) -> MachineConfig {
-        self.timer_interval = interval;
-        self
-    }
 }
 
 /// Error from [`Machine::run_to_completion`].
@@ -134,8 +108,8 @@ pub enum SliceOutcome {
     /// `until_cycle == u64::MAX` means inert pending external input.
     Blocked {
         /// First future cycle at which any component could do work
-        /// (already capped to the run deadline and any checkpoint or
-        /// metrics-sampling boundary).
+        /// (already capped to the run deadline and any metrics-sampling
+        /// boundary).
         until_cycle: u64,
     },
 }
@@ -217,10 +191,6 @@ pub struct Machine {
     /// use to prove the idle-skip actually engaged.
     ticks: u64,
     loaded: Vec<Option<UserImage>>,
-    /// Cycles between automatic checkpoints (0 = off; builder knob).
-    ckpt_every: u64,
-    /// Directory automatic checkpoints are written to (default `.`).
-    ckpt_dir: Option<std::path::PathBuf>,
     /// Cooperative cancellation flag, polled by [`Machine::run_to_completion`]
     /// every [`CANCEL_POLL_MASK`]+1 cycles (builder knob; runtime-only,
     /// never snapshotted).
@@ -305,8 +275,6 @@ impl Machine {
             now: 0,
             ticks: 0,
             loaded: vec![None; cfg.cores],
-            ckpt_every: 0,
-            ckpt_dir: None,
             cancel: None,
             obs: None,
             deadline: u64::MAX,
@@ -452,9 +420,6 @@ impl Machine {
         self.ticks += 1;
         if self.obs.is_some() {
             self.obs_after_tick();
-        }
-        if self.ckpt_every != 0 && self.now.is_multiple_of(self.ckpt_every) {
-            self.write_auto_checkpoint();
         }
     }
 
@@ -674,32 +639,30 @@ impl Machine {
     /// any positive budgets performs the *identical* sequence of ticks
     /// and idle-skip jumps as one call with an unbounded budget, so
     /// sliced runs are bit-exact with one-shot runs (same `ticks()`,
-    /// same stats, same snapshot bytes, same checkpoint files). Three
-    /// things make that hold:
+    /// same stats, same snapshot bytes). Three things make that hold:
     ///
     /// - the probe/backoff state persists on the machine across slices,
     ///   so slice boundaries cannot reset the probe cadence;
-    /// - an idle-skip jump is never split: a skip whose (checkpoint- and
-    ///   metrics-capped) target overshoots the slice returns
-    ///   [`SliceOutcome::Blocked`] *without advancing the clock*, and the
-    ///   resumed slice performs the whole jump;
+    /// - an idle-skip jump is never split: a skip whose (metrics-capped)
+    ///   target overshoots the slice returns [`SliceOutcome::Blocked`]
+    ///   *without advancing the clock*, and the resumed slice performs
+    ///   the whole jump;
     /// - the cancel poll keys on `now & CANCEL_POLL_MASK`, which is a
     ///   function of simulated time only (re-entering a slice at an
     ///   already-polled cycle re-reads the flag, which has no simulated
     ///   effect).
     ///
     /// Terminal outcomes (`Completed` / `TimedOut` / `Cancelled`) flush
-    /// observability sinks; resumable ones do not.
+    /// observability sinks; resumable ones do not. Periodic checkpoints
+    /// are a caller loop: step slices and call [`Machine::snapshot`] at
+    /// the stops — the bytes equal a tick-every-cycle run's at the same
+    /// cycle, because [`Core::note_skipped_cycles`] settles the one
+    /// per-cycle register (`csrs.cycle`) a real tick would have written.
     pub fn step_slice(&mut self, budget: u64) -> SliceOutcome {
         // Event-driven idle-skip: when every core is provably stalled on
         // known-time events (DRAM returns, link FIFO arrivals, pipeline
         // exits, the timer), jump the clock straight to the next event
-        // instead of ticking empty stages. Under auto-checkpointing the
-        // skip is capped at the next `ckpt_every` boundary, and a landing
-        // exactly on one writes the checkpoint there — byte-identical to a
-        // tick-every-cycle run, because [`Core::note_skipped_cycles`]
-        // settles the one per-cycle register (`csrs.cycle`) a real tick
-        // would have written.
+        // instead of ticking empty stages.
         //
         // The inertness proof itself walks every core's in-flight state,
         // which is pure overhead while the machine is busy — so failed
@@ -729,14 +692,9 @@ impl Machine {
             if self.now >= self.probe_at {
                 if let Some(next) = self.next_event_cycle() {
                     let mut target = next.min(self.deadline);
-                    if let Some(periods) = self.now.checked_div(self.ckpt_every) {
-                        // Never skip past a checkpoint boundary; a landing
-                        // exactly on one writes the checkpoint below.
-                        target = target.min((periods + 1) * self.ckpt_every);
-                    }
                     if let Some(every) = self.metrics_every() {
-                        // Likewise never skip past a sampling boundary, so
-                        // idle windows still produce their samples (with
+                        // Never skip past a sampling boundary, so idle
+                        // windows still produce their samples (with
                         // `cycles_skipped` carrying the span).
                         target = target.min((self.now / every + 1) * every);
                     }
@@ -750,9 +708,6 @@ impl Machine {
                         };
                     }
                     self.fast_forward(target);
-                    if self.ckpt_every != 0 && self.now.is_multiple_of(self.ckpt_every) {
-                        self.write_auto_checkpoint();
-                    }
                     if self
                         .metrics_every()
                         .is_some_and(|every| self.now.is_multiple_of(every))
@@ -838,13 +793,6 @@ impl Machine {
     pub fn traps(&self, i: usize) -> u64 {
         self.cores[i].stats.traps
     }
-
-    /// Internal-use accessor for the monitor crate: the CSR file of core
-    /// `i`.
-    pub fn csrs_mut(&mut self, i: usize) -> &mut mi6_isa::csr::CsrFile {
-        let _ = csr::MSTATUS; // keep the import local and explicit
-        &mut self.cores[i].csrs
-    }
 }
 
 // ---------------------------------------------------------------- snapshot
@@ -855,13 +803,6 @@ use mi6_snapshot::{
 };
 
 impl Machine {
-    /// Configures automatic checkpointing: every `cycles` cycles a
-    /// snapshot is written to the checkpoint directory (0 disables).
-    pub(crate) fn set_checkpointing(&mut self, every: u64, dir: Option<std::path::PathBuf>) {
-        self.ckpt_every = every;
-        self.ckpt_dir = dir;
-    }
-
     pub(crate) fn set_cancel_flag(
         &mut self,
         flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
@@ -1026,16 +967,6 @@ impl Machine {
         w.finish()
     }
 
-    /// Writes [`Machine::snapshot`] to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Io`] when the file cannot be written.
-    pub fn snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapError> {
-        std::fs::write(path, self.snapshot())?;
-        Ok(())
-    }
-
     /// Restores a snapshot into this machine. The snapshot must come from
     /// a machine with the same strict configuration fingerprint (same
     /// variant, knobs, and geometry); the restored machine then continues
@@ -1156,18 +1087,6 @@ impl Machine {
             }
         }
         Ok(())
-    }
-
-    fn write_auto_checkpoint(&self) {
-        let dir = self
-            .ckpt_dir
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create checkpoint dir {}: {e}", dir.display()));
-        let path = dir.join(format!("ckpt-{:012}.mi6snap", self.now));
-        self.snapshot_to(&path)
-            .unwrap_or_else(|e| panic!("cannot write checkpoint {}: {e}", path.display()));
     }
 }
 
@@ -1324,34 +1243,39 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_idle_skip_lands_on_identical_checkpoints() {
-        // Two identical machines with auto-checkpointing: one driven by
-        // `run_to_completion` (idle-skip capped at checkpoint boundaries),
-        // one ticked every cycle. They must emit the same checkpoint
-        // files with byte-identical contents, and end in byte-identical
-        // states — the boundary cap plus `note_skipped_cycles` settling
-        // `csrs.cycle` is exactly what makes a skip landing on a boundary
-        // indistinguishable from having ticked up to it.
-        let pid = std::process::id();
-        let dir_a = std::env::temp_dir().join(format!("mi6-ckpt-skip-{pid}"));
-        let dir_b = std::env::temp_dir().join(format!("mi6-ckpt-tick-{pid}"));
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-        let build = |dir: &std::path::Path| {
-            let mut m = crate::SimBuilder::base()
-                .without_timer()
-                .checkpoint_every(128)
-                .checkpoint_dir(dir)
-                .build()
-                .unwrap();
+    fn sliced_snapshots_match_a_tick_every_cycle_twin() {
+        // Periodic checkpoints as a caller loop: step in 128-cycle slices
+        // with idle-skip on (a `Blocked` stop resumes with its whole
+        // jump), snapshot at every stop, and compare against a twin
+        // ticked every cycle to the same cycle. A skip landing anywhere
+        // must be indistinguishable from having ticked up to it.
+        let build = || {
+            let mut m = crate::SimBuilder::base().without_timer().build().unwrap();
             m.load_user_program(0, &hello_program(50)).unwrap();
             m
         };
-        let mut a = build(&dir_a);
-        let mut b = build(&dir_b);
-        let _ = a.run_to_completion(3_072); // Timeout is fine; ckpts still land.
-        b.run_cycles(3_072);
-        assert_eq!(a.now(), b.now());
+        let (mut a, mut b) = (build(), build());
+        a.begin_run(3_072);
+        let mut budget = 128;
+        let (mut stops, mut blocked) = (0, 0);
+        loop {
+            match a.step_slice(budget) {
+                SliceOutcome::Completed(_) | SliceOutcome::TimedOut { .. } => break,
+                SliceOutcome::BudgetExhausted { .. } => budget = 128,
+                SliceOutcome::Blocked { until_cycle } => {
+                    budget = until_cycle - a.now();
+                    blocked += 1;
+                }
+                SliceOutcome::Cancelled { .. } => unreachable!("no cancel flag"),
+            }
+            b.run_cycles(a.now() - b.now());
+            assert_eq!(a.snapshot(), b.snapshot(), "diverged at cycle {}", a.now());
+            stops += 1;
+        }
+        assert!(stops > 10, "only {stops} stops");
+        assert!(blocked > 0, "no skip overshot a slice");
+        b.run_cycles(a.now() - b.now());
+        assert_eq!(a.snapshot(), b.snapshot(), "final states diverged");
         assert!(
             a.ticks() < a.now(),
             "idle-skip never engaged ({} ticks for {} cycles)",
@@ -1359,36 +1283,6 @@ mod tests {
             a.now()
         );
         assert_eq!(b.ticks(), b.now(), "twin ticked every cycle");
-        assert_eq!(a.snapshot(), b.snapshot(), "final states diverged");
-        let list = |dir: &std::path::Path| -> Vec<std::path::PathBuf> {
-            let mut v: Vec<_> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect();
-            v.sort();
-            v
-        };
-        let (ca, cb) = (list(&dir_a), list(&dir_b));
-        assert!(!ca.is_empty(), "no checkpoints written");
-        assert_eq!(
-            ca.iter()
-                .map(|p| p.file_name().unwrap())
-                .collect::<Vec<_>>(),
-            cb.iter()
-                .map(|p| p.file_name().unwrap())
-                .collect::<Vec<_>>(),
-            "checkpoint cycles diverged"
-        );
-        for (pa, pb) in ca.iter().zip(&cb) {
-            assert_eq!(
-                std::fs::read(pa).unwrap(),
-                std::fs::read(pb).unwrap(),
-                "checkpoint bytes diverged at {}",
-                pa.display()
-            );
-        }
-        std::fs::remove_dir_all(&dir_a).unwrap();
-        std::fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]

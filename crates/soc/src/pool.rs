@@ -1,13 +1,14 @@
 //! In-memory warm-snapshot pool.
 //!
 //! Grid runs fork many measurement points off a handful of warmed-up
-//! machine states. The on-disk snapshot cache (`--checkpoint-dir`) makes
-//! those states durable across processes, but an in-process grid paying a
-//! file write plus N file reads per warm state is pure overhead: the
-//! bytes are already in memory. [`SnapshotPool`] keeps them there —
+//! machine states. [`SnapshotPool`] is where a grid looks them up:
 //! encoded snapshot blobs exactly as [`crate::Machine::snapshot`] writes
-//! them and the disk path stores them, shared as `Arc`s so concurrent
-//! restores clone a pointer, not a buffer.
+//! them, shared as `Arc`s so concurrent restores clone a pointer, not a
+//! buffer. The on-disk snapshot directory (`--checkpoint-dir`) is a
+//! write-through tier behind it that makes states durable across
+//! processes: `mi6-bench` writes each new warm state to both, and a state
+//! found only on disk is read and published into the pool, so later
+//! restores skip the file.
 //!
 //! Size. A blob is in the current `mi6_snapshot::FORMAT_VERSION` layout,
 //! which stores only the non-zero words of each page and one byte per
@@ -45,8 +46,7 @@ pub struct PoolKey {
 /// A thread-safe in-memory cache of warm snapshot blobs.
 ///
 /// Hit/miss counters are monotonic over the pool's lifetime; they exist
-/// so benchmarks and the future `mi6-serve` daemon can report pool
-/// effectiveness.
+/// so benchmarks can report pool effectiveness.
 #[derive(Debug, Default)]
 pub struct SnapshotPool {
     blobs: Mutex<HashMap<PoolKey, Arc<Vec<u8>>>>,
