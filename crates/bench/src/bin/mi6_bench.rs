@@ -18,9 +18,6 @@
 //! mi6-bench --kernel mixed --trace pipeview.txt  # Konata/O3PipeView trace
 //! mi6-bench --profile            # per-stage lap breakdown (needs the
 //!                                # `lap-profile` feature compiled in)
-//! mi6-bench --mux 8              # multiplexed-grid throughput: aggregate
-//!                                # Mcycles/s at 8 machines per worker vs
-//!                                # serial
 //! ```
 //!
 //! Each kernel prints one line, e.g.
@@ -29,10 +26,9 @@
 //! (EXPERIMENTS.md records the before/after of each optimisation, and CI
 //! runs this binary non-gating so the trajectory stays visible).
 
-use mi6_bench::runner::default_threads;
-use mi6_bench::{GridPoint, GridSchedule, HarnessOpts, SLICE_CYCLES};
+use mi6_obs::json::JsonWriter;
 use mi6_soc::{SimBuilder, Variant};
-use mi6_workloads::{generate, BranchStyle, Profile, Workload, WorkloadParams};
+use mi6_workloads::{generate, BranchStyle, Profile, WorkloadParams};
 use std::process::exit;
 use std::time::Instant;
 
@@ -113,66 +109,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: mi6-bench [--kinsts N] [--reps N] [--kernel NAME]... [--json PATH] \
          [--stacks PATH] [--profile] [--compare BASELINE [--compare-threshold PCT]] \
-         [--trace PATH [--trace-limit OPS]] [--mux M]"
+         [--trace PATH [--trace-limit OPS]]"
     );
     exit(2);
-}
-
-/// What `--mux M` measures: the multiplexed machine driver's aggregate
-/// throughput.
-struct MuxBench {
-    threads: usize,
-    mux: usize,
-    points: usize,
-    serial_wall_s: f64,
-    mux_wall_s: f64,
-    serial_cps: f64,
-    mux_cps: f64,
-}
-
-/// Runs a small miss-heavy grid (BASE/FPMA/ARB × mcf/sjeng) two ways:
-/// serial, and multiplexed (`mux` machines per worker on short slices).
-/// The pair is the driver's aggregate-throughput number.
-fn run_mux_bench(kinsts: u64, mux: usize) -> MuxBench {
-    let threads = default_threads().clamp(1, 4);
-    let opts = HarnessOpts::default().with_kinsts(kinsts).with_timer(0);
-    let points: Vec<GridPoint> = [Variant::Base, Variant::Fpma, Variant::Arb]
-        .into_iter()
-        .flat_map(|variant| {
-            [Workload::Mcf, Workload::Sjeng]
-                .into_iter()
-                .map(move |workload| GridPoint {
-                    variant,
-                    workload,
-                    opts,
-                })
-        })
-        .collect();
-    // Short slices so every point is forced through several park/resume
-    // round-trips — the regime the driver exists for.
-    let slice = (kinsts.saturating_mul(1000) / 4).clamp(20_000, SLICE_CYCLES);
-    let run = |schedule: &GridSchedule| -> (f64, u64) {
-        let t0 = Instant::now();
-        let out = mi6_bench::run_grid_scheduled(&points, schedule, |_| {});
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(out.completed, points.len(), "mux bench grid must complete");
-        let cycles: u64 = out.results.iter().flatten().map(|r| r.record.cycles).sum();
-        (wall, cycles)
-    };
-    let serial = run(&GridSchedule::new(threads));
-    let mut multiplexed_schedule = GridSchedule::new(threads);
-    multiplexed_schedule.mux = mux;
-    multiplexed_schedule.slice = slice;
-    let multiplexed = run(&multiplexed_schedule);
-    MuxBench {
-        threads,
-        mux,
-        points: points.len(),
-        serial_wall_s: serial.0,
-        mux_wall_s: multiplexed.0,
-        serial_cps: serial.1 as f64 / serial.0.max(1e-9),
-        mux_cps: multiplexed.1 as f64 / multiplexed.0.max(1e-9),
-    }
 }
 
 /// Pulls `"cycles_per_sec":<f64>` for one kernel out of a baseline JSON
@@ -198,7 +137,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut trace_limit: u64 = 0;
     let mut profile = false;
-    let mut mux: usize = 0;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage()).clone();
@@ -219,13 +157,6 @@ fn main() {
             "--trace" => trace_path = Some(val()),
             "--trace-limit" => trace_limit = val().parse().unwrap_or_else(|_| usage()),
             "--profile" => profile = true,
-            "--mux" => {
-                mux = val().parse().unwrap_or_else(|_| usage());
-                if mux < 2 {
-                    eprintln!("mi6-bench: --mux wants at least 2 machines per worker");
-                    exit(2);
-                }
-            }
             _ => usage(),
         }
     }
@@ -371,20 +302,6 @@ fn main() {
             width: best_width,
         });
     }
-    let mux_bench = (mux > 0).then(|| run_mux_bench(kinsts, mux));
-    if let Some(m) = &mux_bench {
-        println!(
-            "mux: {} grid points on {} threads — serial {:.2}s ({:.2} Mcycles/s) vs \
-             {} machines/worker {:.2}s ({:.2} Mcycles/s aggregate)",
-            m.points,
-            m.threads,
-            m.serial_wall_s,
-            m.serial_cps / 1e6,
-            m.mux,
-            m.mux_wall_s,
-            m.mux_cps / 1e6,
-        );
-    }
     if let Some(path) = &trace_path {
         // Validate the trace we just wrote before anyone feeds it to
         // Konata: a malformed record should fail here, not in the viewer.
@@ -422,56 +339,35 @@ fn main() {
         // Machine-readable companion to the table: CI uploads this as the
         // perf-trajectory artifact, so keep the shape append-only (the
         // `lap_ns` object only appears under --profile).
-        let kernels_json: Vec<String> = rows
+        let kernels: Vec<String> = rows
             .iter()
             .map(|r| {
-                let laps = if profile {
-                    let stages: Vec<String> = mi6_core::LAP_STAGES
-                        .iter()
-                        .zip(r.lap.nanos)
-                        .map(|(stage, ns)| format!("\"{stage}\":{ns}"))
-                        .collect();
-                    format!(",\"lap_ns\":{{{}}}", stages.join(","))
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"name\":\"{name}\",\"cycles\":{cycles},\"instructions\":{insts},\
-                     \"wall_s\":{secs},\"cycles_per_sec\":{cps},\"ns_per_cycle\":{npc},\
-                     \"cycles_ticked\":{ticked},\"cycles_skipped\":{skipped}{laps}}}",
-                    name = r.name,
-                    cycles = r.cycles,
-                    insts = r.insts,
-                    secs = r.secs,
-                    cps = r.cycles as f64 / r.secs,
-                    npc = r.secs * 1e9 / r.cycles as f64,
-                    ticked = r.ticked,
-                    skipped = r.skipped,
-                )
+                let mut k = JsonWriter::default();
+                k.str("name", r.name)
+                    .u64("cycles", r.cycles)
+                    .u64("instructions", r.insts)
+                    .f64("wall_s", r.secs)
+                    .f64("cycles_per_sec", r.cycles as f64 / r.secs)
+                    .f64("ns_per_cycle", r.secs * 1e9 / r.cycles as f64)
+                    .u64("cycles_ticked", r.ticked)
+                    .u64("cycles_skipped", r.skipped);
+                if profile {
+                    let mut laps = JsonWriter::default();
+                    for (stage, ns) in mi6_core::LAP_STAGES.iter().zip(r.lap.nanos) {
+                        laps.u64(stage, ns);
+                    }
+                    k.raw("lap_ns", &laps.finish());
+                }
+                k.finish()
             })
             .collect();
-        let mux_json = mux_bench
-            .as_ref()
-            .map(|m| {
-                format!(
-                    ",\"mux\":{{\"machines_per_worker\":{},\"threads\":{},\"points\":{},\
-                     \"serial_wall_s\":{:.6},\"mux_wall_s\":{:.6},\
-                     \"serial_cycles_per_sec\":{:.1},\"mux_cycles_per_sec\":{:.1}}}",
-                    m.mux,
-                    m.threads,
-                    m.points,
-                    m.serial_wall_s,
-                    m.mux_wall_s,
-                    m.serial_cps,
-                    m.mux_cps,
-                )
-            })
-            .unwrap_or_default();
-        let doc = format!(
-            "{{\"bench\":\"hotloop\",\"kinsts\":{kinsts},\"reps\":{reps},\"variant\":\"BASE\",\
-             \"kernels\":[{}]{mux_json}}}\n",
-            kernels_json.join(","),
-        );
+        let mut doc = JsonWriter::default();
+        doc.str("bench", "hotloop")
+            .u64("kinsts", kinsts)
+            .u64("reps", reps.into())
+            .str("variant", "BASE")
+            .raw("kernels", &format!("[{}]", kernels.join(",")));
+        let doc = doc.finish() + "\n";
         std::fs::write(&path, doc).unwrap_or_else(|e| {
             eprintln!("mi6-bench: cannot write {path}: {e}");
             exit(1);

@@ -37,9 +37,8 @@
 //! `--checkpoint-dir D` (also write each warm state through to D, so
 //! repeat invocations and other shard hosts skip the warm-up),
 //! `--fork-base` (warm once per workload on BASE and fork the quiescent
-//! state across every variant), `--mux M` (admit up to M in-flight
-//! machines per worker thread and time-slice between them — results
-//! stay byte-identical to `--mux 1`), `--scenario enclave-attacker`
+//! state across every variant; a `--warmup` longer than a workload's run
+//! is a usage error, exit 2), `--scenario enclave-attacker`
 //! (the fixed two-core enclave-vs-attacker grid; of the run flags it
 //! takes only `--kinsts`, `--timer`, `--threads`, `--json`, `--stacks`
 //! and `--metrics-every` + `--out`), `--metrics-every N` +
@@ -53,7 +52,7 @@
 //!   planner assigns to shard `i` of `N`, journaling each completed
 //!   point to `DIR/shard-i-of-N.jsonl`. Restarting the same command
 //!   resumes from the journal (finished points are never recomputed).
-//! - `--deadline SECS` — stop claiming new points and cancel in-flight
+//! - `--deadline SECS` — stop starting new points and cancel in-flight
 //!   simulations once the wall-clock budget expires (exit code 3; the
 //!   journal resumes the rest later). Interrupted points journal a
 //!   `"partial":true` progress line; merge skips those and reports how
@@ -83,7 +82,6 @@ struct Cli {
     figures: Vec<u32>,
     opts: HarnessOpts,
     threads: usize,
-    mux: usize,
     json: Option<String>,
     seeds: u64,
     warmup: u64,
@@ -102,7 +100,7 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: mi6-experiments (--figure N)... | --all | --scenario enclave-attacker \
-         [--kinsts N] [--timer N] [--threads N] [--mux M] [--seeds N] [--workload NAME]... \
+         [--kinsts N] [--timer N] [--threads N] [--seeds N] [--workload NAME]... \
          [--json PATH|-] [--stacks PATH] [--metrics-every CYCLES --out DIR] \
          [--warmup CYCLES [--checkpoint-dir DIR] [--fork-base]] \
          [--shard i/N --out DIR] [--deadline SECS]\n\
@@ -116,8 +114,7 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     // Merge re-derives the expected grid from flags; anything that only
     // shapes *how* a run executes would be silently meaningless there,
     // so reject it loudly rather than ignore it.
-    const RUN_ONLY: [&str; 11] = [
-        "--mux",
+    const RUN_ONLY: [&str; 10] = [
         "--json",
         "--stacks",
         "--threads",
@@ -133,7 +130,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
         figures: Vec::new(),
         opts: HarnessOpts::default(),
         threads: default_threads(),
-        mux: 1,
         json: None,
         seeds: 1,
         warmup: 0,
@@ -150,13 +146,12 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     };
     // The scenario is a fixed grid with no warm-up phase: these flags
     // would be accepted and silently do nothing there.
-    const GRID_ONLY: [&str; 7] = [
+    const GRID_ONLY: [&str; 6] = [
         "--seeds",
         "--workload",
         "--warmup",
         "--checkpoint-dir",
         "--fork-base",
-        "--mux",
         "--deadline",
     ];
     let mut seen: Vec<&str> = Vec::new();
@@ -210,14 +205,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                 cli.threads = value(args, i, "--threads")
                     .parse()
                     .unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--mux" => {
-                cli.mux = value(args, i, "--mux").parse().unwrap_or_else(|_| usage());
-                if cli.mux == 0 {
-                    eprintln!("--mux must be at least 1 machine per worker");
-                    usage();
-                }
                 i += 1;
             }
             "--seeds" => {
@@ -367,6 +354,22 @@ fn write_stacks(path: &PathBuf, doc: &str) {
     eprintln!("mi6-experiments: wrote {}", path.display());
 }
 
+/// Opens the `--json` sink: stdout for `-`, else the file in append mode.
+fn open_json(path: &str) -> Box<dyn Write> {
+    if path == "-" {
+        return Box::new(std::io::stdout());
+    }
+    let file = File::options()
+        .create(true)
+        .append(true)
+        .open(path)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot open {path}: {e}");
+            exit(1);
+        });
+    Box::new(BufWriter::new(file))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("merge") {
@@ -470,20 +473,7 @@ fn run_main(args: &[String]) {
         if obs.is_some() {
             print!("{}", scenario::render_occupancy_timeline(&points));
         }
-        if let Some(path) = cli.json.as_deref() {
-            let mut out: Box<dyn Write> = if path == "-" {
-                Box::new(std::io::stdout())
-            } else {
-                let file = File::options()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open {path}: {e}");
-                        exit(1);
-                    });
-                Box::new(BufWriter::new(file))
-            };
+        if let Some(mut out) = cli.json.as_deref().map(open_json) {
             for p in &points {
                 writeln!(out, "{}", p.to_json()).expect("json write");
             }
@@ -494,21 +484,7 @@ fn run_main(args: &[String]) {
     // `--json -` makes stdout a pure JSONL stream: the figure tables are
     // suppressed so the output stays machine-parseable end to end.
     let json_on_stdout = cli.json.as_deref() == Some("-");
-    let mut json: Option<Box<dyn Write>> = cli.json.as_deref().map(|path| -> Box<dyn Write> {
-        if path == "-" {
-            Box::new(std::io::stdout())
-        } else {
-            let file = File::options()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot open {path}: {e}");
-                    exit(1);
-                });
-            Box::new(BufWriter::new(file))
-        }
-    });
+    let mut json = cli.json.as_deref().map(open_json);
 
     let plan = plan_grid(&cli.figures, cli.opts, cli.seeds, &cli.workloads);
     let warm = (cli.warmup > 0).then(|| WarmFork {
@@ -564,16 +540,11 @@ fn run_main(args: &[String]) {
     };
 
     eprintln!(
-        "mi6-experiments: {} grid points ({} unique, {} seed(s)) on {} threads{}{}{}",
+        "mi6-experiments: {} grid points ({} unique, {} seed(s)) on {} threads{}{}",
         plan.gross_points(),
         plan.points.len(),
         cli.seeds,
         cli.threads,
-        if cli.mux > 1 {
-            format!(" (mux {} machines/worker)", cli.mux)
-        } else {
-            String::new()
-        },
         match &warm {
             Some(w) if w.fork_base => format!(
                 ", forking all variants from {}-cycle BASE warm-ups",
@@ -602,8 +573,6 @@ fn run_main(args: &[String]) {
                 .expect("validated in parse_args")
                 .join("metrics"),
         }),
-        mux: cli.mux,
-        slice: 0,   // auto (SLICE_CYCLES)
         pool: None, // a private pool for this invocation
     };
     let mut stack_rows: Vec<String> = Vec::new();
@@ -633,6 +602,10 @@ fn run_main(args: &[String]) {
             writeln!(out, "{}", res.to_json()).expect("json write");
         }
     });
+    if let Some(e) = &outcome.warm_error {
+        eprintln!("mi6-experiments: {e}");
+        exit(2);
+    }
     if let Some(out) = json.as_mut() {
         out.flush().expect("json flush");
     }

@@ -166,7 +166,7 @@ impl HarnessOpts {
     }
 
     /// The run-length cap handed to `run_to_completion` (or armed via
-    /// `Machine::begin_run` by the sliced grid driver): the shared
+    /// `Machine::begin_run` before `step_slice` stepping): the shared
     /// [`mi6_workloads::budget`] scaling.
     pub fn cycle_cap(&self) -> u64 {
         mi6_workloads::budget::cycle_cap(self.kinsts)
@@ -194,8 +194,7 @@ pub struct MetricsSpec {
 }
 
 /// Builds the machine for one cold run — workload loaded, cancel flag and
-/// metrics attached — without running it; the grid driver steps it
-/// through `Machine::step_slice`.
+/// metrics attached — without running it.
 pub fn build_workload_machine(
     variant: Variant,
     workload: Workload,

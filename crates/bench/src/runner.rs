@@ -1,33 +1,32 @@
 //! The parallel experiment runner.
 //!
 //! A figure is a grid of (variant, workload, opts) points.
-//! [`run_grid_scheduled`] runs them on the `mi6-grid` slice-multiplexing
-//! machine driver, the harness's one executor: each point's machine is
-//! advanced in bounded slices (`Machine::step_slice`), so `--mux` can
-//! keep more machines in flight than there are worker threads, machines
-//! that prove themselves inert until a far-future cycle park in a
-//! wake-ordered heap instead of owning a thread, and a deadline lands
-//! between slices instead of only between points. The slice sequence is
-//! provably invisible in the results (see `Machine::step_slice`), so
-//! driver output is byte-identical to a serial run.
+//! [`run_grid_scheduled`] runs them on the `mi6-grid` machine driver, the
+//! harness's one executor: each worker takes the next point, builds or
+//! restores its machine and runs it to completion. The machine polls the
+//! driver's cancel flag every 4,096 simulated cycles, so a deadline lands
+//! mid-point, and driver output is byte-identical to a serial run.
 //!
 //! An optional warm-fork phase runs first, on the same driver: one task
 //! per missing warm state, published into the [`SnapshotPool`] and
 //! written through to the checkpoint directory when one is set. A
-//! deadline stops admission in either phase (interrupted machines
-//! record [`PartialPoint`] progress and the shard journal resumes the
-//! rest later), and every result names the worker that finished it.
+//! warm-up that cannot produce a state (it outlasts the workload, say)
+//! is reported in [`GridOutcome::warm_error`] and no point runs. A
+//! deadline stops new work in either phase (interrupted machines record
+//! [`PartialPoint`] progress and the shard journal resumes the rest
+//! later), and every result names the worker that finished it.
 
 use crate::{build_restore_target, build_workload_machine, HarnessOpts, MetricsSpec, RunRecord};
 use mi6_core::{CpiCategory, CpiStack};
 use mi6_grid::{MachineDriver, SliceTask, Step, WorkerCtx};
-use mi6_soc::{Machine, PoolKey, SliceOutcome, SnapshotPool, Variant};
+use mi6_obs::json::{parse_object, JsonWriter};
+use mi6_soc::{Machine, PoolKey, RunError, SnapshotPool, Variant};
 use mi6_workloads::Workload;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One point of the variant×workload grid.
 #[derive(Clone, Copy, Debug)]
@@ -74,13 +73,11 @@ pub struct PointResult {
     pub point: GridPoint,
     /// The run's counters.
     pub record: RunRecord,
-    /// Host wall-clock time the simulation took, in milliseconds. Under
-    /// `--mux` this is the point's *active* time summed over its slices,
-    /// excluding time parked or queued, so per-point costs stay
-    /// comparable across mux factors.
+    /// Host wall-clock time the point took (machine build, restore and
+    /// run), in milliseconds.
     pub wall_ms: u64,
-    /// The worker that ran the point's final slice (0 when not run by a
-    /// worker, e.g. a merge-reconstructed result predating workers;
+    /// The worker that ran the point (0 when not run by a worker, e.g. a
+    /// merge-reconstructed result predating workers;
     /// [`AGGREGATED_WORKER`] for seed-aggregated means).
     pub worker: usize,
     /// Warm-up provenance: `"cold"`, `"exact:<cycles>"`, or
@@ -96,72 +93,39 @@ pub struct PointResult {
 }
 
 impl PointResult {
-    /// One JSON object describing this point (hand-rolled: the harness is
-    /// dependency-free, and every field is numeric or a known-safe name).
+    /// One JSON object describing this point.
     ///
-    /// Floats are formatted with `{}` (shortest round-trip form), so a
-    /// merge that re-parses this line reproduces the in-memory value
-    /// bit-for-bit — sharded figure tables must be byte-identical to
-    /// unsharded ones.
+    /// New fields go at the end (the journal shape is append-only): the
+    /// stall, cycle-accounting and CPI-stack tail, then the optional
+    /// metrics-artifact path, all absent from old journals and defaulted
+    /// by `from_json`.
     pub fn to_json(&self) -> String {
-        // New fields go at the end (the journal shape is append-only):
-        // stall attribution (the `stall_*` keys survive under their
-        // historical names, now sourced from the CPI stack's pressure
-        // counters), ticked-vs-skipped cycle accounting, the CPI-stack
-        // slots, and the optional metrics-artifact path, all absent from
-        // old journals and defaulted by `from_json`.
-        let metrics = match &self.metrics {
-            Some(p) => format!(",\"metrics\":\"{p}\""),
-            None => String::new(),
-        };
-        let mut cpi = format!(
-            "\"cpi_cycles\":{},\"cpi_commit_width\":{}",
-            self.record.cpi.cycles, self.record.commit_width
-        );
-        for cat in CpiCategory::ALL {
-            use std::fmt::Write as _;
-            let _ = write!(
-                cpi,
-                ",\"{}\":{}",
-                cat.metric_name(),
-                self.record.cpi.get(cat)
-            );
-        }
-        format!(
-            concat!(
-                "{{\"variant\":\"{}\",\"workload\":\"{}\",\"kinsts\":{},",
-                "\"timer\":{},\"seed\":{},\"cycles\":{},\"instructions\":{},",
-                "\"branch_mpki\":{},\"llc_mpki\":{},",
-                "\"flush_stall_cycles\":{},\"traps\":{},\"wall_ms\":{},",
-                "\"worker\":{},\"warm\":\"{}\",",
-                "\"stall_rob_full\":{},\"stall_iq_full\":{},\"stall_lq_full\":{},",
-                "\"stall_sq_full\":{},\"stall_sb_full\":{},",
-                "\"cycles_ticked\":{},\"cycles_skipped\":{},{}{}}}"
-            ),
-            self.point.variant.name(),
-            self.record.name,
-            self.point.opts.kinsts,
-            self.point.opts.timer,
-            self.point.opts.seed,
-            self.record.cycles,
-            self.record.instructions,
-            self.record.branch_mpki,
-            self.record.llc_mpki,
-            self.record.flush_stall_cycles,
-            self.record.traps,
-            self.wall_ms,
-            self.worker,
-            self.warm,
-            self.record.cpi.rename_rob_full,
-            self.record.cpi.rename_iq_full,
-            self.record.cpi.rename_lq_full,
-            self.record.cpi.rename_sq_full,
-            self.record.cpi.commit_sb_full,
+        let mut w = JsonWriter::default();
+        w.str("variant", self.point.variant.name())
+            .str("workload", self.record.name)
+            .u64("kinsts", self.point.opts.kinsts)
+            .u64("timer", self.point.opts.timer)
+            .u64("seed", self.point.opts.seed)
+            .u64("cycles", self.record.cycles)
+            .u64("instructions", self.record.instructions)
+            .f64("branch_mpki", self.record.branch_mpki)
+            .f64("llc_mpki", self.record.llc_mpki)
+            .u64("flush_stall_cycles", self.record.flush_stall_cycles)
+            .u64("traps", self.record.traps)
+            .u64("wall_ms", self.wall_ms)
+            .u64("worker", self.worker as u64)
+            .str("warm", &self.warm);
+        write_cpi_tail(
+            &mut w,
+            &self.record.cpi,
+            self.record.commit_width,
             self.record.cycles_ticked,
             self.record.cycles_skipped,
-            cpi,
-            metrics,
-        )
+        );
+        if let Some(path) = &self.metrics {
+            w.str("metrics", path);
+        }
+        w.finish()
     }
 
     /// Parses one [`PointResult::to_json`] line back (the merge path).
@@ -174,7 +138,7 @@ impl PointResult {
     /// (flagged `"partial":true`), which is *not* a completed result and
     /// must be recomputed, never merged.
     pub fn from_json(line: &str) -> Result<PointResult, String> {
-        let obj = mi6_grid::parse_object(line).map_err(|e| e.to_string())?;
+        let obj = parse_object(line)?;
         if obj.contains_key("partial") {
             return Err("partial-progress line (interrupted point; recompute it)".to_string());
         }
@@ -223,13 +187,7 @@ impl PointResult {
                 traps: u64_field("traps")?,
                 cpi: CpiStack::from_raw(
                     opt_u64("cpi_cycles"),
-                    {
-                        let mut slots = [0u64; mi6_core::CPI_CATEGORIES];
-                        for (i, cat) in CpiCategory::ALL.into_iter().enumerate() {
-                            slots[i] = opt_u64(cat.metric_name());
-                        }
-                        slots
-                    },
+                    CpiCategory::ALL.map(|cat| opt_u64(cat.metric_name())),
                     [
                         opt_u64("stall_rob_full"),
                         opt_u64("stall_iq_full"),
@@ -260,7 +218,32 @@ impl PointResult {
 /// count these separately from torn/garbage lines: partials are expected
 /// after a deadline and simply mean the point must be recomputed.
 pub fn is_partial_line(line: &str) -> bool {
-    mi6_grid::parse_object(line).is_ok_and(|obj| obj.contains_key("partial"))
+    parse_object(line).is_ok_and(|obj| obj.contains_key("partial"))
+}
+
+/// Writes the tail that grid-point and scenario lines share: the
+/// structural-pressure counters under their historical `stall_*` names,
+/// the ticked-vs-skipped cycle accounting, and the CPI stack (its own
+/// cycle counter, the commit width, one key per category).
+pub(crate) fn write_cpi_tail(
+    w: &mut JsonWriter,
+    cpi: &CpiStack,
+    commit_width: u64,
+    cycles_ticked: u64,
+    cycles_skipped: u64,
+) {
+    w.u64("stall_rob_full", cpi.rename_rob_full)
+        .u64("stall_iq_full", cpi.rename_iq_full)
+        .u64("stall_lq_full", cpi.rename_lq_full)
+        .u64("stall_sq_full", cpi.rename_sq_full)
+        .u64("stall_sb_full", cpi.commit_sb_full)
+        .u64("cycles_ticked", cycles_ticked)
+        .u64("cycles_skipped", cycles_skipped)
+        .u64("cpi_cycles", cpi.cycles)
+        .u64("cpi_commit_width", commit_width);
+    for cat in CpiCategory::ALL {
+        w.u64(cat.metric_name(), cpi.get(cat));
+    }
 }
 
 /// Partial progress of a point interrupted by a deadline or cancel.
@@ -277,9 +260,9 @@ pub struct PartialPoint {
     pub cycles: u64,
     /// Instructions committed so far (core 0).
     pub instructions: u64,
-    /// Active host milliseconds spent before the interruption.
+    /// Host milliseconds spent before the interruption.
     pub wall_ms: u64,
-    /// The worker running (or last to run) the point.
+    /// The worker running the point.
     pub worker: usize,
     /// Warm-up provenance tag of the interrupted run.
     pub warm: String,
@@ -289,23 +272,19 @@ impl PartialPoint {
     /// One JSON progress line, shaped like a [`PointResult`] prefix plus
     /// the terminal `"partial":true` marker.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"variant\":\"{}\",\"workload\":\"{}\",\"kinsts\":{},",
-                "\"timer\":{},\"seed\":{},\"cycles\":{},\"instructions\":{},",
-                "\"wall_ms\":{},\"worker\":{},\"warm\":\"{}\",\"partial\":true}}"
-            ),
-            self.point.variant.name(),
-            self.point.workload.name(),
-            self.point.opts.kinsts,
-            self.point.opts.timer,
-            self.point.opts.seed,
-            self.cycles,
-            self.instructions,
-            self.wall_ms,
-            self.worker,
-            self.warm,
-        )
+        let mut w = JsonWriter::default();
+        w.str("variant", self.point.variant.name())
+            .str("workload", self.point.workload.name())
+            .u64("kinsts", self.point.opts.kinsts)
+            .u64("timer", self.point.opts.timer)
+            .u64("seed", self.point.opts.seed)
+            .u64("cycles", self.cycles)
+            .u64("instructions", self.instructions)
+            .u64("wall_ms", self.wall_ms)
+            .u64("worker", self.worker as u64)
+            .str("warm", &self.warm)
+            .bool("partial", true);
+        w.finish()
     }
 }
 
@@ -410,32 +389,41 @@ impl WarmFork {
     /// Simulates one warm-up and publishes its snapshot to the pool and,
     /// if a directory is configured, to disk (written atomically, so a
     /// preempted run never leaves a torn file behind).
-    fn create_snapshot(&self, point: &GridPoint, pool: &SnapshotPool) {
+    ///
+    /// # Errors
+    ///
+    /// A warm-up that leaves no state to measure: it outlasts the
+    /// workload, its fork-base drain fails, or no work is left once the
+    /// memory system is quiet. The message names the workload and
+    /// `--warmup`.
+    fn create_snapshot(&self, point: &GridPoint, pool: &SnapshotPool) -> Result<(), String> {
         let variant = self.warm_variant(point);
         let mut machine = build_workload_machine(variant, point.workload, &point.opts, None, None);
         machine.run_cycles(self.warmup_cycles);
-        assert!(
-            !machine.all_halted(),
-            "--warmup {} exceeds the total runtime of {} at {}k instructions; lower it",
-            self.warmup_cycles,
-            point.workload,
-            point.opts.kinsts
-        );
+        if machine.all_halted() {
+            return Err(format!(
+                "--warmup {} exceeds the total runtime of {} at {}k instructions; lower it",
+                self.warmup_cycles, point.workload, point.opts.kinsts
+            ));
+        }
         if self.fork_base {
             // Opportunistic first: many workloads hit a natural quiescent
             // window (no timing perturbation at all); streaming workloads
             // never do and need the fetch-stall drain.
             if machine.run_until_mem_quiescent(20_000).is_err() {
-                machine
-                    .drain_to_quiescence(QUIESCE_CAP)
-                    .unwrap_or_else(|e| panic!("draining {} warm-up: {e}", point.workload));
+                machine.drain_to_quiescence(QUIESCE_CAP).map_err(|e| {
+                    format!(
+                        "--warmup {}: draining the warm-up of {} failed: {e}",
+                        self.warmup_cycles, point.workload
+                    )
+                })?;
             }
-            assert!(
-                !machine.all_halted(),
-                "--warmup {} left no work after the warm-up of {}; lower it",
-                self.warmup_cycles,
-                point.workload
-            );
+            if machine.all_halted() {
+                return Err(format!(
+                    "--warmup {} left no work after the warm-up of {}; lower it",
+                    self.warmup_cycles, point.workload
+                ));
+            }
         }
         let bytes = machine.snapshot();
         if let Some(path) = self.snapshot_path(point) {
@@ -448,6 +436,7 @@ impl WarmFork {
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         }
         pool.insert(self.pool_key(point, &machine), bytes);
+        Ok(())
     }
 }
 
@@ -471,11 +460,9 @@ impl GridMetrics {
     }
 }
 
-/// Default measurement slice, in simulated cycles: long enough that
-/// slicing overhead vanishes (a slice boundary is one function return
-/// plus one queue push), short enough that `--mux` oversubscription
-/// actually interleaves points and a deadline lands promptly between
-/// slices.
+/// Slice length, in simulated cycles, for callers that step a machine
+/// through `Machine::step_slice` in bounded slices (the benchmark's
+/// traced replay does): long enough that the per-slice overhead vanishes.
 pub const SLICE_CYCLES: u64 = 4_000_000;
 
 /// How [`run_grid_scheduled`] runs a point set.
@@ -485,20 +472,13 @@ pub struct GridSchedule<'w> {
     pub threads: usize,
     /// Optional warm-fork phase.
     pub warm: Option<&'w WarmFork>,
-    /// Stop admitting new points and cancel in-flight machines once this
+    /// Stop starting new points and cancel in-flight machines once this
     /// instant passes; unfinished points stay un-journaled (their
     /// progress is reported as [`PartialPoint`]s) so a resumed shard
     /// recomputes exactly them.
     pub deadline: Option<Instant>,
     /// Optional per-point metrics sampling (`--metrics-every`).
     pub metrics: Option<GridMetrics>,
-    /// In-flight machines per worker (the `--mux` oversubscription
-    /// factor; 0 or 1 = one machine per worker, the classic schedule).
-    pub mux: usize,
-    /// Measurement slice length in simulated cycles (0 = auto,
-    /// [`SLICE_CYCLES`]). Slicing is invisible in the results; this only
-    /// tunes scheduling granularity.
-    pub slice: u64,
     /// In-memory warm-snapshot pool: warm states are published here by
     /// the warm phase and restores are served from it without file I/O.
     /// Share one across calls to reuse warm states; `None` gives the
@@ -514,8 +494,6 @@ impl<'w> GridSchedule<'w> {
             warm: None,
             deadline: None,
             metrics: None,
-            mux: 1,
-            slice: 0,
             pool: None,
         }
     }
@@ -528,85 +506,61 @@ pub struct GridOutcome {
     pub results: Vec<Option<PointResult>>,
     /// Points that finished.
     pub completed: usize,
-    /// Points that did not (deadline).
+    /// Points that did not (deadline, or a failed warm phase).
     pub cancelled: usize,
     /// Whether the deadline fired.
     pub deadline_hit: bool,
     /// Partial progress of interrupted points (machines that had started
     /// when the deadline/cancel landed), for journaling and reporting.
     pub partials: Vec<PartialPoint>,
+    /// Why the warm phase produced no usable state, when it failed (see
+    /// `WarmFork`); no point ran.
+    pub warm_error: Option<String>,
 }
 
-/// One in-flight grid point driven in slices by the machine driver.
-///
-/// The machine is built lazily on the first slice (so a 10,000-point
-/// grid holds at most `workers × mux` machines), armed once with
-/// `begin_run`, then advanced slice by slice. `step_slice`'s contract
-/// makes the slice sequence invisible, so results are byte-identical to
-/// the old run-to-completion path.
+/// One grid point as a driver task: its one step builds the machine
+/// (cold, or restored from its warm state) and runs it to completion.
 struct PointTask<'a> {
     point: GridPoint,
     warm: Option<&'a WarmFork>,
     /// Where warm states are served from.
     pool: &'a SnapshotPool,
     warm_tag: &'a str,
-    cancel: Arc<AtomicBool>,
-    /// Slice budget in simulated cycles.
-    slice: u64,
     /// Interrupted-progress sink shared with the grid run.
     partials: &'a Mutex<Vec<PartialPoint>>,
-    /// The machine and the cycle measurement started at (post-restore),
-    /// built on the first slice.
-    machine: Option<(Machine, u64)>,
     /// Metrics attachment (resolved per point; the path is attributed in
     /// the result).
     metrics: Option<MetricsSpec>,
-    /// Minimum budget for the next slice: a parked idle-skip jump must
-    /// fit entirely in the slice that resumes it, or the task would
-    /// re-park forever.
-    boost: u64,
-    /// Worker that ran the most recent slice (partial attribution when
-    /// the task is abandoned in a queue).
-    last_worker: usize,
-    /// Active host time accumulated across slices.
-    wall: Duration,
 }
 
 impl PointTask<'_> {
-    /// Builds the point's machine (cold, or restored from its warm
-    /// state) and arms the run.
-    fn build(&self) -> (Machine, u64) {
+    /// Builds the point's machine, cold or restored from its warm state,
+    /// and returns it with the cycle its measurement starts at.
+    fn build(&self, cancel: &Arc<AtomicBool>) -> (Machine, u64) {
         let p = &self.point;
-        let cancel = Some(Arc::clone(&self.cancel));
-        let mut built = match self.warm {
-            None => (
-                build_workload_machine(
-                    p.variant,
-                    p.workload,
-                    &p.opts,
-                    cancel,
-                    self.metrics.as_ref(),
-                ),
-                0,
-            ),
-            Some(warm) => {
-                let mut machine =
-                    build_restore_target(p.variant, &p.opts, cancel, self.metrics.as_ref());
-                let blob = self.warm_blob(warm, &machine);
-                let restored = if warm.fork_base {
-                    machine.restore_forked(&blob)
-                } else {
-                    machine.restore(&blob)
-                };
-                restored.unwrap_or_else(|e| {
-                    panic!("restoring {} warm state on {}: {e}", p.workload, p.variant)
-                });
-                let start = machine.now();
-                (machine, start)
-            }
+        let cancel = Some(Arc::clone(cancel));
+        let Some(warm) = self.warm else {
+            let machine = build_workload_machine(
+                p.variant,
+                p.workload,
+                &p.opts,
+                cancel,
+                self.metrics.as_ref(),
+            );
+            return (machine, 0);
         };
-        built.0.begin_run(p.opts.cycle_cap());
-        built
+        let mut machine = build_restore_target(p.variant, &p.opts, cancel, self.metrics.as_ref());
+        let blob = self.warm_blob(warm, &machine);
+        let restored = if warm.fork_base {
+            machine.restore_forked(&blob)
+        } else {
+            machine.restore(&blob)
+        };
+        restored.unwrap_or_else(|e| {
+            panic!("restoring {} warm state on {}: {e}", p.workload, p.variant)
+        });
+        let start = machine.now();
+        (machine, start)
     }
 
     /// Fetches the point's warm snapshot: from the pool, else from the
@@ -627,21 +581,6 @@ impl PointTask<'_> {
             std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
         self.pool.insert(key, bytes)
     }
-
-    /// Records the point's progress at an interruption.
-    fn record_partial(&self, worker: usize) {
-        let Some((machine, _)) = &self.machine else {
-            return;
-        };
-        self.partials.lock().unwrap().push(PartialPoint {
-            point: self.point,
-            cycles: machine.now(),
-            instructions: machine.stats().core[0].committed_instructions,
-            wall_ms: self.wall.as_millis() as u64,
-            worker,
-            warm: self.warm_tag.to_string(),
-        });
-    }
 }
 
 impl SliceTask for PointTask<'_> {
@@ -649,52 +588,47 @@ impl SliceTask for PointTask<'_> {
 
     fn step(&mut self, ctx: &WorkerCtx) -> Step<PointResult> {
         let t0 = Instant::now();
-        self.last_worker = ctx.worker;
-        if self.machine.is_none() {
-            self.machine = Some(self.build());
-        }
-        let (machine, start_cycle) = self.machine.as_mut().expect("just built");
-        let budget = self.slice.max(self.boost);
-        self.boost = 0;
-        let outcome = machine.step_slice(budget);
-        self.wall += t0.elapsed();
+        let (mut machine, start_cycle) = self.build(&ctx.cancel);
+        let outcome = machine.run_to_completion(self.point.opts.cycle_cap());
+        let wall_ms = t0.elapsed().as_millis() as u64;
         match outcome {
-            SliceOutcome::Completed(stats) => {
-                let record =
-                    RunRecord::from_run(self.point.workload.name(), machine, &stats, *start_cycle);
-                Step::Done(PointResult {
+            Ok(stats) => Step::Done(PointResult {
+                point: self.point,
+                record: RunRecord::from_run(
+                    self.point.workload.name(),
+                    &machine,
+                    &stats,
+                    start_cycle,
+                ),
+                wall_ms,
+                worker: ctx.worker,
+                warm: self.warm_tag.to_string(),
+                metrics: self.metrics.as_ref().map(|m| m.path.display().to_string()),
+            }),
+            Err(RunError::Cancelled { at_cycle, partial }) => {
+                self.partials.lock().unwrap().push(PartialPoint {
                     point: self.point,
-                    record,
-                    wall_ms: self.wall.as_millis() as u64,
+                    cycles: at_cycle,
+                    instructions: partial.core[0].committed_instructions,
+                    wall_ms,
                     worker: ctx.worker,
                     warm: self.warm_tag.to_string(),
-                    metrics: self.metrics.as_ref().map(|m| m.path.display().to_string()),
-                })
-            }
-            SliceOutcome::BudgetExhausted { .. } => Step::Yield,
-            SliceOutcome::Blocked { until_cycle } => {
-                self.boost = until_cycle.saturating_sub(machine.now());
-                Step::Blocked { wake: until_cycle }
-            }
-            SliceOutcome::Cancelled { .. } => {
-                self.record_partial(ctx.worker);
+                });
                 Step::Abort
             }
-            SliceOutcome::TimedOut { at_cycle } => panic!(
-                "{} on {} still running after {at_cycle} cycles",
-                self.point.workload, self.point.variant
+            Err(RunError::Timeout { .. }) => panic!(
+                "{} on {} still running after {} cycles",
+                self.point.workload,
+                self.point.variant,
+                machine.now()
             ),
         }
-    }
-
-    fn abandon(&mut self) {
-        self.record_partial(self.last_worker);
     }
 }
 
 /// The grid run: the warm-fork phase (if configured), then the
-/// measurement phase, both on the slice-multiplexing machine driver,
-/// with per-point cancellation against the deadline.
+/// measurement phase, both on the machine driver, with per-point
+/// cancellation against the deadline.
 ///
 /// `on_result` is invoked on the caller's thread as each point finishes
 /// (in completion order — use it for streaming output, not rendering).
@@ -721,56 +655,49 @@ pub fn run_grid_scheduled(
         }
     };
     if let Some(warm) = schedule.warm {
-        run_warm_phase(points, schedule, warm, pool);
+        if let Err(e) = run_warm_phase(points, schedule, warm, pool) {
+            return GridOutcome {
+                results: vec![None; points.len()],
+                cancelled: points.len(),
+                warm_error: Some(e),
+                ..GridOutcome::default()
+            };
+        }
     }
     if let Some(metrics) = &schedule.metrics {
         std::fs::create_dir_all(&metrics.dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", metrics.dir.display()));
     }
-    let cancel = Arc::new(AtomicBool::new(false));
-    let slice = if schedule.slice == 0 {
-        SLICE_CYCLES
-    } else {
-        schedule.slice
-    };
     let partials = Mutex::new(Vec::new());
-    let mut driver = MachineDriver::new(schedule.threads)
-        .with_mux(schedule.mux.max(1))
-        .with_deadline(schedule.deadline);
-    driver.cancel = Some(Arc::clone(&cancel));
-    let outcome = driver.run(
-        points.len(),
-        |i| PointTask {
-            point: points[i],
-            warm: schedule.warm,
-            pool,
-            warm_tag: &warm_tag,
-            cancel: Arc::clone(&cancel),
-            slice,
-            partials: &partials,
-            machine: None,
-            metrics: schedule.metrics.as_ref().map(|g| MetricsSpec {
-                path: g.artifact_path(&points[i]),
-                every: g.every,
-            }),
-            boost: 0,
-            last_worker: 0,
-            wall: Duration::ZERO,
-        },
-        |_, res| on_result(res),
-    );
+    let outcome = MachineDriver::new(schedule.threads)
+        .with_deadline(schedule.deadline)
+        .run(
+            points.len(),
+            |i| PointTask {
+                point: points[i],
+                warm: schedule.warm,
+                pool,
+                warm_tag: &warm_tag,
+                partials: &partials,
+                metrics: schedule.metrics.as_ref().map(|g| MetricsSpec {
+                    path: g.artifact_path(&points[i]),
+                    every: g.every,
+                }),
+            },
+            |_, res| on_result(res),
+        );
     GridOutcome {
         results: outcome.results,
         completed: outcome.completed,
         cancelled: outcome.cancelled,
         deadline_hit: outcome.deadline_hit,
         partials: partials.into_inner().unwrap(),
+        warm_error: None,
     }
 }
 
 /// One warm-up as a driver task: its single step simulates the prefix
-/// and publishes the snapshot (warm-ups never idle, so slicing would buy
-/// nothing).
+/// and publishes the snapshot.
 struct WarmTask<'a> {
     warm: &'a WarmFork,
     point: GridPoint,
@@ -778,22 +705,23 @@ struct WarmTask<'a> {
 }
 
 impl SliceTask for WarmTask<'_> {
-    type Done = ();
+    type Done = Result<(), String>;
 
-    fn step(&mut self, _ctx: &WorkerCtx) -> Step<()> {
-        self.warm.create_snapshot(&self.point, self.pool);
-        Step::Done(())
+    fn step(&mut self, _ctx: &WorkerCtx) -> Step<Self::Done> {
+        Step::Done(self.warm.create_snapshot(&self.point, self.pool))
     }
 }
 
 /// The warm-fork phase: one warm-up per unique warm tag that neither
-/// the pool nor the checkpoint dir already holds.
+/// the pool nor the checkpoint dir already holds. The first failed
+/// warm-up stops the phase from starting more, and the failure of the
+/// lowest-numbered one is returned.
 fn run_warm_phase(
     points: &[GridPoint],
     schedule: &GridSchedule<'_>,
     warm: &WarmFork,
     pool: &SnapshotPool,
-) {
+) -> Result<(), String> {
     if let Some(dir) = &warm.dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
@@ -810,7 +738,7 @@ fn run_warm_phase(
     }
     let todo: Vec<GridPoint> = pending.into_values().collect();
     if todo.is_empty() {
-        return;
+        return Ok(());
     }
     eprintln!(
         "  warm-fork: simulating {} warm-up prefix(es) of {} cycles",
@@ -820,17 +748,27 @@ fn run_warm_phase(
     // Deadline granularity here is one warm-up: a warm-up that has
     // started always completes and publishes its snapshot (later
     // invocations reuse it), but none starts past the deadline.
-    MachineDriver::new(schedule.threads)
-        .with_deadline(schedule.deadline)
-        .run(
-            todo.len(),
-            |i| WarmTask {
-                warm,
-                point: todo[i],
-                pool,
-            },
-            |_, _| {},
-        );
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut driver = MachineDriver::new(schedule.threads).with_deadline(schedule.deadline);
+    driver.cancel = Some(Arc::clone(&stop));
+    let out = driver.run(
+        todo.len(),
+        |i| WarmTask {
+            warm,
+            point: todo[i],
+            pool,
+        },
+        |_, res| {
+            if res.is_err() {
+                stop.store(true, Ordering::SeqCst);
+            }
+        },
+    );
+    out.results
+        .into_iter()
+        .flatten()
+        .find_map(Result::err)
+        .map_or(Ok(()), Err)
 }
 
 /// One variant's grid over an explicit workload set (how `--workload`
@@ -854,9 +792,19 @@ pub fn variant_points_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn tiny_opts() -> HarnessOpts {
         HarnessOpts::default().with_kinsts(10).with_timer(0)
+    }
+
+    /// One point at [`tiny_opts`].
+    fn tiny(variant: Variant, workload: Workload) -> GridPoint {
+        GridPoint {
+            variant,
+            workload,
+            opts: tiny_opts(),
+        }
     }
 
     /// One variant over all eleven paper workloads.
@@ -879,21 +827,9 @@ mod tests {
     #[test]
     fn grid_results_arrive_in_point_order() {
         let points = [
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Sjeng,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Arb,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
+            tiny(Variant::Base, Workload::Hmmer),
+            tiny(Variant::Base, Workload::Sjeng),
+            tiny(Variant::Arb, Workload::Hmmer),
         ];
         let mut streamed = 0usize;
         let out = run_grid_scheduled(&points, &GridSchedule::new(3), |_| streamed += 1);
@@ -919,35 +855,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multiplexed_grid_matches_serial_bit_for_bit() {
-        // Tiny slices force every point through many Yield/Blocked
-        // cycles and genuine interleaving (16 machines over 2 workers);
-        // the records must still be byte-identical to a serial
-        // one-machine-at-a-time run.
-        let mut points = variant_points(Variant::Base)[..3].to_vec();
-        points.extend(variant_points(Variant::Arb)[..3].to_vec());
-        let serial = run(&points, 1, None);
-        let mut schedule = GridSchedule::new(2);
-        schedule.mux = 8;
-        schedule.slice = 20_000;
-        let out = run_grid_scheduled(&points, &schedule, |_| {});
-        assert_eq!(out.completed, points.len());
-        assert!(out.partials.is_empty());
-        for (s, m) in serial.iter().zip(&out.results) {
-            let m = m.as_ref().expect("completed");
-            assert_eq!(s.record.cycles, m.record.cycles, "{}", s.record.name);
-            assert_eq!(s.record.instructions, m.record.instructions);
-            assert_eq!(s.record.cycles_ticked, m.record.cycles_ticked);
-            assert_eq!(s.record.cycles_skipped, m.record.cycles_skipped);
-            assert_eq!(s.record.branch_mpki, m.record.branch_mpki);
-            assert_eq!(s.record.llc_mpki, m.record.llc_mpki);
-            assert_eq!(s.record.flush_stall_cycles, m.record.flush_stall_cycles);
-            assert_eq!(s.record.traps, m.record.traps);
-            assert_eq!(s.record.cpi.slots, m.record.cpi.slots);
-        }
-    }
-
     fn scratch_dir(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mi6-warm-{label}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -958,16 +865,8 @@ mod tests {
     fn exact_warm_fork_matches_cold_runs_bit_for_bit() {
         let dir = scratch_dir("exact");
         let points = [
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Fpma,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
+            tiny(Variant::Base, Workload::Hmmer),
+            tiny(Variant::Fpma, Workload::Hmmer),
         ];
         let cold = run(&points, 2, None);
         let warm = WarmFork {
@@ -994,16 +893,8 @@ mod tests {
         // No checkpoint dir at all: warm states live only in the
         // in-memory pool, and restores are served from it.
         let points = [
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Fpma,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
+            tiny(Variant::Base, Workload::Hmmer),
+            tiny(Variant::Fpma, Workload::Hmmer),
         ];
         let cold = run(&points, 2, None);
         let warm = WarmFork {
@@ -1041,16 +932,8 @@ mod tests {
     fn fork_base_shares_one_warmup_across_variants() {
         let dir = scratch_dir("forkbase");
         let points = [
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Sjeng,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Fpma,
-                workload: Workload::Sjeng,
-                opts: tiny_opts(),
-            },
+            tiny(Variant::Base, Workload::Sjeng),
+            tiny(Variant::Fpma, Workload::Sjeng),
         ];
         let warm = WarmFork {
             warmup_cycles: 4_000,
@@ -1076,16 +959,8 @@ mod tests {
         // Neither a shared pool nor a checkpoint dir: the grid keeps its
         // warm states in a pool of its own for the call.
         let points = [
-            GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
-            GridPoint {
-                variant: Variant::Fpma,
-                workload: Workload::Hmmer,
-                opts: tiny_opts(),
-            },
+            tiny(Variant::Base, Workload::Hmmer),
+            tiny(Variant::Fpma, Workload::Hmmer),
         ];
         let warm = WarmFork {
             warmup_cycles: 4_000,
@@ -1132,11 +1007,7 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let points = [GridPoint {
-            variant: Variant::Base,
-            workload: Workload::Hmmer,
-            opts: tiny_opts(),
-        }];
+        let points = [tiny(Variant::Base, Workload::Hmmer)];
         let results = run(&points, 1, None);
         let json = results[0].to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -1203,11 +1074,7 @@ mod tests {
     #[test]
     fn partial_lines_are_flagged_and_rejected() {
         let partial = PartialPoint {
-            point: GridPoint {
-                variant: Variant::Base,
-                workload: Workload::Mcf,
-                opts: tiny_opts(),
-            },
+            point: tiny(Variant::Base, Workload::Mcf),
             cycles: 123_456,
             instructions: 7_890,
             wall_ms: 42,
@@ -1221,11 +1088,7 @@ mod tests {
         let err = PointResult::from_json(&line).unwrap_err();
         assert!(err.contains("partial"), "{err}");
         // Completed lines and garbage are not misclassified.
-        let points = [GridPoint {
-            variant: Variant::Base,
-            workload: Workload::Hmmer,
-            opts: tiny_opts(),
-        }];
+        let points = [tiny(Variant::Base, Workload::Hmmer)];
         let full = run(&points, 1, None).remove(0).to_json();
         assert!(!is_partial_line(&full));
         assert!(!is_partial_line("not json at all"));
@@ -1272,7 +1135,7 @@ mod tests {
             opts: HarnessOpts::default().with_kinsts(20_000).with_timer(0),
         }];
         // The point generates its program and builds its machine inside
-        // the run, before its first slice, and a deadline passing during
+        // the run, before it simulates, and a deadline passing during
         // that set-up cancels the machine at cycle 0. So the deadline is
         // armed 50 ms past ten times the same set-up, timed here under
         // whatever load the host carries.

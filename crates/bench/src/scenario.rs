@@ -16,14 +16,15 @@
 //! per-core MSHRs, round-robin pipeline arbitration) keeps the attacker
 //! out of the victim's sets and bounds the interference.
 
+use crate::runner::write_cpi_tail;
 use crate::{mean, HarnessOpts};
 use mi6_core::{CpiCategory, CpiStack};
+use mi6_grid::{MachineDriver, SliceTask, Step, WorkerCtx};
 use mi6_isa::{Assembler, Inst, Reg};
+use mi6_obs::json::{parse_object, JsonValue, JsonWriter};
 use mi6_soc::{kernel, loader, Program, SimBuilder, Variant};
 use mi6_workloads::{Workload, WorkloadParams};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::thread;
 
 /// The enclave victim workload (promoted to `mi6-workloads` so plain
 /// figure grids and shards can run it like any other workload; see
@@ -67,50 +68,25 @@ pub struct ScenarioPoint {
 
 impl ScenarioPoint {
     /// One JSON object for the `--json` stream (append-only shape, like
-    /// the grid journal's).
+    /// the grid journal's, and the same stall/cycle/CPI-stack tail).
     pub fn to_json(&self) -> String {
-        let metrics = match &self.metrics_path {
-            Some(p) => format!(",\"metrics\":\"{}\"", p.display()),
-            None => String::new(),
-        };
-        // `stall_*` keep their historical key names (now sourced from the
-        // CPI stack's pressure counters); the stack itself is appended at
-        // the end, per the append-only journal contract.
-        let mut cpi = format!(
-            "\"cpi_cycles\":{},\"cpi_commit_width\":{}",
-            self.victim_cpi.cycles, self.victim_commit_width
-        );
-        for cat in CpiCategory::ALL {
-            use std::fmt::Write as _;
-            let _ = write!(
-                cpi,
-                ",\"{}\":{}",
-                cat.metric_name(),
-                self.victim_cpi.get(cat)
-            );
-        }
-        format!(
-            concat!(
-                "{{\"scenario\":\"enclave-attacker\",\"variant\":\"{}\",",
-                "\"contended\":{},\"victim_cycles\":{},\"victim_instructions\":{},",
-                "\"stall_rob_full\":{},\"stall_iq_full\":{},\"stall_lq_full\":{},",
-                "\"stall_sq_full\":{},\"stall_sb_full\":{},",
-                "\"cycles_ticked\":{},\"cycles_skipped\":{},{}{}}}"
-            ),
-            self.variant.name(),
-            self.contended,
-            self.victim_cycles,
-            self.victim_instructions,
-            self.victim_cpi.rename_rob_full,
-            self.victim_cpi.rename_iq_full,
-            self.victim_cpi.rename_lq_full,
-            self.victim_cpi.rename_sq_full,
-            self.victim_cpi.commit_sb_full,
+        let mut w = JsonWriter::default();
+        w.str("scenario", "enclave-attacker")
+            .str("variant", self.variant.name())
+            .bool("contended", self.contended)
+            .u64("victim_cycles", self.victim_cycles)
+            .u64("victim_instructions", self.victim_instructions);
+        write_cpi_tail(
+            &mut w,
+            &self.victim_cpi,
+            self.victim_commit_width,
             self.cycles_ticked,
             self.cycles_skipped,
-            cpi,
-            metrics,
-        )
+        );
+        if let Some(path) = &self.metrics_path {
+            w.str("metrics", &path.display().to_string());
+        }
+        w.finish()
     }
 
     /// This point's CPI-stack artifact row (the `--stacks` JSONL; see
@@ -220,10 +196,27 @@ fn run_point(
     }
 }
 
+/// One scenario point as a machine-driver task, done in one step.
+struct ScenarioTask<'a> {
+    variant: Variant,
+    contended: bool,
+    opts: &'a HarnessOpts,
+    obs: Option<&'a ScenarioObs>,
+}
+
+impl SliceTask for ScenarioTask<'_> {
+    type Done = ScenarioPoint;
+
+    fn step(&mut self, _ctx: &WorkerCtx) -> Step<ScenarioPoint> {
+        Step::Done(run_point(self.variant, self.contended, self.opts, self.obs))
+    }
+}
+
 /// Runs the enclave-plus-attacker grid — (BASE, MI6) × (solo, contended)
-/// — across up to four worker threads and returns the points in a fixed
-/// order: for each variant, solo then contended. With `obs`, every point
-/// also writes a time-series metrics artifact (see [`ScenarioObs`]).
+/// — on the machine driver with up to four workers and returns the
+/// points in a fixed order: for each variant, solo then contended. With
+/// `obs`, every point also writes a time-series metrics artifact (see
+/// [`ScenarioObs`]).
 pub fn run_enclave_attacker(
     opts: &HarnessOpts,
     threads: usize,
@@ -233,45 +226,19 @@ pub fn run_enclave_attacker(
         std::fs::create_dir_all(&o.dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", o.dir.display()));
     }
-    let grid: Vec<(Variant, bool)> = [Variant::Base, Variant::SecureMi6]
-        .into_iter()
-        .flat_map(|v| [(v, false), (v, true)])
-        .collect();
-    let workers = threads.clamp(1, grid.len());
-    let (tx, rx) = mpsc::channel::<(usize, ScenarioPoint)>();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<ScenarioPoint>> = vec![None; grid.len()];
-    thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let grid = &grid;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= grid.len() {
-                    break;
-                }
-                let (variant, contended) = grid[i];
-                if tx
-                    .send((i, run_point(variant, contended, opts, obs)))
-                    .is_err()
-                {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        while let Ok((i, p)) = rx.recv() {
-            eprintln!(
-                "  {} {}: victim {} cycles",
-                p.variant,
-                if p.contended { "contended" } else { "solo" },
-                p.victim_cycles
-            );
-            results[i] = Some(p);
-        }
-    });
-    results
+    let spawn = |i: usize| ScenarioTask {
+        variant: [Variant::Base, Variant::SecureMi6][i / 2],
+        contended: i % 2 == 1,
+        opts,
+        obs,
+    };
+    let report = |_, p: &ScenarioPoint| {
+        let mode = if p.contended { "contended" } else { "solo" };
+        eprintln!("  {} {mode}: victim {} cycles", p.variant, p.victim_cycles);
+    };
+    MachineDriver::new(threads)
+        .run(4, spawn, report)
+        .results
         .into_iter()
         .map(|r| r.expect("every scenario point completed"))
         .collect()
@@ -365,19 +332,10 @@ pub fn render_enclave_cpi(points: &[ScenarioPoint]) -> String {
 /// One parsed metrics row: `(cycle, core, metric, value)`; `core` is
 /// `None` for machine-level rows.
 fn parse_metrics_row(line: &str) -> Option<(u64, Option<u64>, String, u64)> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let (mut cycle, mut core, mut metric, mut value) = (None, None, None, None);
-    for field in body.split(',') {
-        let (k, v) = field.split_once(':')?;
-        match k {
-            "\"cycle\"" => cycle = v.parse().ok(),
-            "\"core\"" => core = v.parse().ok(),
-            "\"metric\"" => metric = Some(v.trim_matches('"').to_string()),
-            "\"value\"" => value = v.parse().ok(),
-            _ => return None,
-        }
-    }
-    Some((cycle?, core, metric?, value?))
+    let row = parse_object(line).ok()?;
+    let int = |key: &str| row.get(key).and_then(JsonValue::as_u64);
+    let metric = row.get("metric")?.as_str()?.to_string();
+    Some((int("cycle")?, int("core"), metric, int("value")?))
 }
 
 /// Renders the attacker-vs-victim occupancy timeline of each *contended*

@@ -1,14 +1,23 @@
-//! `mi6-experiments` rejects flags it would otherwise silently ignore:
-//! each case below exits 2 with a usage message instead of running.
+//! End-to-end checks of the `mi6-experiments` binary.
+//!
+//! Flags it would otherwise silently ignore, and a `--warmup` no
+//! workload can honour, exit 2 with one message instead of running. A
+//! shard journal stays readable whatever bytes its `--out` path holds.
 
-use std::process::Command;
+use std::ffi::OsStr;
+use std::process::{Command, Output};
 
-/// Runs the CLI with `args` and returns its exit code and stderr.
-fn run(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_mi6-experiments"))
+/// Runs the CLI with `args`.
+fn output(args: &[impl AsRef<OsStr>]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mi6-experiments"))
         .args(args)
         .output()
-        .expect("mi6-experiments runs");
+        .expect("mi6-experiments runs")
+}
+
+/// Runs the CLI with `args` and returns its exit code and stderr.
+fn run(args: &[impl AsRef<OsStr>]) -> (Option<i32>, String) {
+    let out = output(args);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
@@ -39,7 +48,6 @@ fn scenario_rejects_grid_only_flags() {
         &["--warmup", "1000"],
         &["--checkpoint-dir", "unused-ckpt"],
         &["--fork-base"],
-        &["--mux", "2"],
         &["--deadline", "5"],
     ] {
         let mut args = vec!["--scenario", "enclave-attacker", "--kinsts", "1"];
@@ -49,4 +57,57 @@ fn scenario_rejects_grid_only_flags() {
         let expected = format!("`{}` applies to figure grids, not --scenario", flags[0]);
         assert!(stderr.contains(&expected), "{flags:?}: {stderr}");
     }
+}
+
+#[test]
+fn warmup_longer_than_a_workload_is_a_usage_error() {
+    let args: Vec<&str> = "--figure 13 --kinsts 1 --timer 0 --warmup 10000000"
+        .split(' ')
+        .collect();
+    let (code, stderr) = run(&args);
+    assert_eq!(code, Some(2), "{stderr}");
+    let error = "--warmup 10000000 exceeds the total runtime of";
+    assert_eq!(stderr.matches(error).count(), 1, "{stderr}");
+    // Progress lines (`  [1/22] astar on BASE: …`) mean a point ran.
+    assert!(
+        !stderr.lines().any(|l| l.trim_start().starts_with('[')),
+        "a measurement point ran: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn quotes_and_backslashes_in_out_keep_the_journal_readable() {
+    // Journal lines embed the metrics artifact path, which lives under
+    // `--out`; its `"` and `\` must be escaped, not written raw.
+    let root = std::env::temp_dir().join(format!("mi6-cli-quote-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let out = root.join("q\"d\\ir");
+    let args = |cmd: &str| -> Vec<String> {
+        let grid = "--figure 5 --kinsts 10 --timer 0 --workload hmmer --out";
+        let mut args: Vec<String> = format!("{cmd} {grid}")
+            .split(' ')
+            .map(String::from)
+            .collect();
+        args.push(out.display().to_string());
+        args
+    };
+    let shard = args("--shard 0/1 --metrics-every 5000");
+    for pass in 0..2 {
+        let (code, stderr) = run(&shard);
+        assert_eq!(code, Some(0), "pass {pass}: {stderr}");
+        assert!(!stderr.contains("unparseable"), "pass {pass}: {stderr}");
+        assert!(
+            pass == 0 || stderr.contains("2 journaled, 0 to run"),
+            "{stderr}"
+        );
+    }
+    let merged = output(&args("merge"));
+    let tables = String::from_utf8_lossy(&merged.stdout);
+    assert_eq!(merged.status.code(), Some(0), "{merged:?}");
+    assert!(
+        tables.contains("Figure 5") && tables.contains("hmmer"),
+        "{tables}"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -9,36 +9,29 @@
 //!   canonical key string, and a stable hash assigns each key to shard
 //!   `i` of `N`. Any set of hosts that covers `0/N .. N-1/N` covers the
 //!   grid exactly once, with no scheduler process anywhere.
-//! - [`driver`] — the one executor: M in-flight resumable tasks over K
-//!   worker threads, runnable tasks in a FIFO, blocked tasks parked in a
-//!   min-heap keyed by wake cycle, with a cooperative cancel flag and an
-//!   optional deadline that cancels in-flight work so a shard can stop
-//!   cleanly and resume later. Built for tasks that implement the
-//!   simulator's `step_slice` contract, where the slice sequence is
-//!   provably invisible in the results.
+//! - [`driver`] — the one executor: K worker threads, each claiming the
+//!   next task and stepping it to its end, with a cooperative cancel flag
+//!   and an optional deadline that cancels in-flight work so a shard can
+//!   stop cleanly and resume later.
 //! - [`journal`] — the resumable shard journal: one JSONL file per shard,
 //!   appended line-by-line as points complete; restarting a shard reads
 //!   the journal back and skips finished points (a torn trailing line
 //!   from a kill is detected and recomputed).
-//! - [`json`] — a minimal flat-JSON-object parser (the grid interchange
-//!   format is hand-rolled JSON lines; the simulator stays
-//!   dependency-free).
 //! - [`merge`] — coverage validation for merging shard files: every
 //!   expected point exactly once, with missing and duplicated points as
 //!   hard errors.
 //!
 //! The crate is deliberately generic — it knows nothing about machines,
 //! variants, or workloads. `mi6-bench` supplies the point type, the key
-//! function, and the tasks.
+//! function, the tasks, and the journal lines (written and read through
+//! `mi6_obs::json`).
 
 pub mod driver;
 pub mod journal;
-pub mod json;
 pub mod merge;
 pub mod plan;
 
 pub use driver::{DriverOutcome, MachineDriver, SliceTask, Step, WorkerCtx};
 pub use journal::Journal;
-pub use json::{parse_object, JsonValue};
 pub use merge::{validate_coverage, Coverage};
 pub use plan::{shard_of, ShardSpec};

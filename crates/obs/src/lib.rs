@@ -14,15 +14,22 @@
 //!    `(cycle, core, metric)`: occupancy gauges sampled every N cycles
 //!    and flow counters emitted as per-window deltas.
 //!
-//! The schema checkers ([`check_trace_str`], [`check_metrics_str`]) are
-//! what CI runs over emitted artifacts (via the `mi6-obs-check` binary),
-//! and what the timing-neutrality tests use to prove the files are
-//! well-formed without pinning their exact contents.
+//! The schema checkers ([`check_trace_str`], [`check_metrics_str`],
+//! [`check_stacks_str`]) are what CI runs over emitted artifacts (via the
+//! `mi6-obs-check` binary), and what the timing-neutrality tests use to
+//! prove the files are well-formed without pinning their exact contents.
+//!
+//! [`json`] is the one flat-JSON writer and reader of the workspace:
+//! metrics and stacks rows here, and the harness's shard journals and
+//! `--json` streams, all go through it.
 //!
 //! Observability state is deliberately tolerant of snapshot restores: a
 //! restored machine has in-flight ops the tracer never saw, so every
 //! hook ignores unknown sequence numbers instead of asserting.
 
+pub mod json;
+
+use json::{parse_object, JsonValue, JsonWriter};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -286,20 +293,14 @@ impl MetricsSink {
 
     fn row(&mut self, cycle: u64, core: Option<usize>, metric: &str, value: u64) {
         self.rows += 1;
-        match core {
-            Some(c) => {
-                let _ = writeln!(
-                    self.buf,
-                    "{{\"cycle\":{cycle},\"core\":{c},\"metric\":\"{metric}\",\"value\":{value}}}"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    self.buf,
-                    "{{\"cycle\":{cycle},\"metric\":\"{metric}\",\"value\":{value}}}"
-                );
-            }
+        let mut row = JsonWriter::default();
+        row.u64("cycle", cycle);
+        if let Some(c) = core {
+            row.u64("core", c as u64);
         }
+        row.str("metric", metric).u64("value", value);
+        self.buf.push_str(&row.finish());
+        self.buf.push('\n');
     }
 
     /// Samples an instantaneous occupancy/level.
@@ -465,64 +466,34 @@ pub struct MetricsSummary {
 }
 
 /// Validates a metrics JSONL file: every line is exactly
-/// `{"cycle":N[,"core":C],"metric":"name","value":V}` with integer
-/// cycle/core/value, non-decreasing cycles, and metric names restricted
-/// to `[a-z0-9_]`.
+/// `{"cycle":N[,"core":C],"metric":"name","value":V}` with non-negative
+/// integer cycle/core/value, non-decreasing cycles, and metric names
+/// restricted to `[a-z0-9_]`.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn check_metrics_str(s: &str) -> Result<MetricsSummary, String> {
-    let mut rows = 0u64;
     let mut names = std::collections::BTreeSet::new();
-    let mut first = u64::MAX;
-    let mut last_cycle = 0u64;
+    let (mut rows, mut first, mut last_cycle) = (0u64, u64::MAX, 0u64);
     for (n, line) in s.lines().enumerate() {
-        let n1 = n + 1;
-        let err = |what: &str| format!("line {n1}: {what} in `{line}`");
-        let body = line
-            .strip_prefix('{')
-            .and_then(|r| r.strip_suffix('}'))
-            .ok_or_else(|| err("row is not a JSON object"))?;
-        let mut cycle = None;
-        let mut core = None;
-        let mut metric = None;
-        let mut value = None;
-        for field in body.split(',') {
-            let (k, v) = field
-                .split_once(':')
-                .ok_or_else(|| err("malformed field"))?;
-            match k {
-                "\"cycle\"" => cycle = Some(v.parse::<u64>().map_err(|_| err("bad cycle"))?),
-                "\"core\"" => core = Some(v.parse::<u64>().map_err(|_| err("bad core"))?),
-                "\"metric\"" => {
-                    let name = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("metric is not a string"))?;
-                    if name.is_empty()
-                        || !name
-                            .bytes()
-                            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-                    {
-                        return Err(err("metric name must match [a-z0-9_]+"));
-                    }
-                    metric = Some(name.to_string());
-                }
-                "\"value\"" => value = Some(v.parse::<i64>().map_err(|_| err("bad value"))?),
-                _ => return Err(err("unknown key")),
-            }
+        let row = Row::parse(n, line, &["cycle", "core", "metric", "value"])?;
+        let cycle = row.int("cycle")?;
+        row.opt_int("core")?;
+        row.int("value")?;
+        let metric = row.name("metric")?;
+        if !metric
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+        {
+            return Err(row.err("metric name must match [a-z0-9_]+"));
         }
-        let cycle = cycle.ok_or_else(|| err("missing cycle"))?;
-        let metric = metric.ok_or_else(|| err("missing metric"))?;
-        value.ok_or_else(|| err("missing value"))?;
-        let _ = core;
         if cycle < last_cycle {
-            return Err(err("cycle stamps must be non-decreasing"));
+            return Err(row.err("cycle stamps must be non-decreasing"));
         }
         first = first.min(cycle);
         last_cycle = cycle;
-        names.insert(metric);
+        names.insert(metric.to_string());
         rows += 1;
     }
     if rows == 0 {
@@ -533,6 +504,52 @@ pub fn check_metrics_str(s: &str) -> Result<MetricsSummary, String> {
         metrics: names.into_iter().collect(),
         cycle_range: (first, last_cycle),
     })
+}
+
+/// One artifact line read by a schema checker: its fields, with typed
+/// accessors whose errors name the line.
+struct Row<'a> {
+    line: (usize, &'a str),
+    fields: BTreeMap<String, JsonValue>,
+}
+
+impl<'a> Row<'a> {
+    /// Parses line `n` (0-based), rejecting keys outside `allowed`.
+    fn parse(n: usize, line: &'a str, allowed: &[&str]) -> Result<Row<'a>, String> {
+        let err = |what: String| format!("line {}: {what} in `{line}`", n + 1);
+        let fields = parse_object(line).map_err(|e| err(format!("not a flat JSON object: {e}")))?;
+        match fields.keys().find(|k| !allowed.contains(&k.as_str())) {
+            Some(k) => Err(err(format!("unknown key `{k}`"))),
+            None => Ok(Row {
+                line: (n + 1, line),
+                fields,
+            }),
+        }
+    }
+
+    fn err(&self, what: &str) -> String {
+        format!("line {}: {what} in `{}`", self.line.0, self.line.1)
+    }
+
+    fn opt_int(&self, key: &str) -> Result<Option<u64>, String> {
+        let v = self.fields.get(key);
+        v.map(|v| v.as_u64().ok_or_else(|| self.err(&format!("bad {key}"))))
+            .transpose()
+    }
+
+    fn int(&self, key: &str) -> Result<u64, String> {
+        self.opt_int(key)?
+            .ok_or_else(|| self.err(&format!("missing {key}")))
+    }
+
+    /// A non-empty string field.
+    fn name(&self, key: &str) -> Result<&str, String> {
+        match self.fields.get(key).map(JsonValue::as_str) {
+            None => Err(self.err(&format!("missing {key}"))),
+            Some(Some(s)) if !s.is_empty() => Ok(s),
+            Some(_) => Err(self.err(&format!("{key} is not a non-empty string"))),
+        }
+    }
 }
 
 /// [`check_metrics_str`] over a file.
@@ -586,15 +603,16 @@ pub fn stacks_row(
     slots: &[u64],
 ) -> String {
     assert_eq!(slots.len(), STACK_CATEGORIES.len());
-    let mut row = format!(
-        "{{\"name\":\"{name}\",\"variant\":\"{variant}\",\"core\":{core},\
-         \"cycles\":{cycles},\"commit_width\":{commit_width}"
-    );
-    for (cat, v) in STACK_CATEGORIES.iter().zip(slots) {
-        let _ = write!(row, ",\"{cat}\":{v}");
+    let mut row = JsonWriter::default();
+    row.str("name", name)
+        .str("variant", variant)
+        .u64("core", core as u64)
+        .u64("cycles", cycles)
+        .u64("commit_width", commit_width);
+    for (cat, &v) in STACK_CATEGORIES.iter().zip(slots) {
+        row.u64(cat, v);
     }
-    row.push('}');
-    row
+    row.finish()
 }
 
 /// Summary returned by a successful [`check_stacks_str`].
@@ -617,82 +635,30 @@ pub struct StacksSummary {
 ///
 /// Returns a message naming the first offending line.
 pub fn check_stacks_str(s: &str) -> Result<StacksSummary, String> {
-    let mut rows = 0u64;
+    let mut keys = vec!["name", "variant", "core", "cycles", "commit_width"];
+    keys.extend(STACK_CATEGORIES);
     let mut workloads = std::collections::BTreeSet::new();
-    let mut total_slots = 0u64;
+    let (mut rows, mut total_slots) = (0u64, 0u64);
     for (n, line) in s.lines().enumerate() {
-        let n1 = n + 1;
-        let err = |what: &str| format!("line {n1}: {what} in `{line}`");
-        let body = line
-            .strip_prefix('{')
-            .and_then(|r| r.strip_suffix('}'))
-            .ok_or_else(|| err("row is not a JSON object"))?;
-        let mut name = None;
-        let mut cycles = None;
-        let mut width = None;
-        let mut seen_variant = false;
-        let mut slots = std::collections::BTreeMap::new();
-        for field in body.split(',') {
-            let (k, v) = field
-                .split_once(':')
-                .ok_or_else(|| err("malformed field"))?;
-            let k = k
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| err("key is not a string"))?;
-            match k {
-                "name" | "variant" => {
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("name/variant is not a string"))?;
-                    if v.is_empty() {
-                        return Err(err("empty name/variant"));
-                    }
-                    if k == "name" {
-                        name = Some(v.to_string());
-                    } else {
-                        seen_variant = true;
-                    }
-                }
-                "core" => {
-                    v.parse::<u64>().map_err(|_| err("bad core"))?;
-                }
-                "cycles" => cycles = Some(v.parse::<u64>().map_err(|_| err("bad cycles"))?),
-                "commit_width" => {
-                    width = Some(v.parse::<u64>().map_err(|_| err("bad commit_width"))?)
-                }
-                cat if STACK_CATEGORIES.contains(&cat) => {
-                    let v = v.parse::<u64>().map_err(|_| err("bad slot count"))?;
-                    if slots.insert(cat, v).is_some() {
-                        return Err(err("duplicate category"));
-                    }
-                }
-                _ => return Err(err("unknown key")),
-            }
-        }
-        let cycles = cycles.ok_or_else(|| err("missing cycles"))?;
-        let width = width.ok_or_else(|| err("missing commit_width"))?;
-        let name = name.ok_or_else(|| err("missing name"))?;
-        if !seen_variant {
-            return Err(err("missing variant"));
-        }
+        let row = Row::parse(n, line, &keys)?;
+        let name = row.name("name")?;
+        row.name("variant")?;
+        row.opt_int("core")?;
+        let (cycles, width) = (row.int("cycles")?, row.int("commit_width")?);
         if width == 0 {
-            return Err(err("commit_width must be >= 1"));
+            return Err(row.err("commit_width must be >= 1"));
         }
+        let mut sum = 0u64;
         for cat in STACK_CATEGORIES {
-            if !slots.contains_key(cat) {
-                return Err(err(&format!("missing category `{cat}`")));
-            }
+            sum += row.int(cat)?;
         }
-        let sum: u64 = slots.values().sum();
         if sum != cycles * width {
-            return Err(err(&format!(
+            return Err(row.err(&format!(
                 "sum invariant violated: slots sum to {sum}, expected cycles*width = {}",
                 cycles * width
             )));
         }
-        workloads.insert(name);
+        workloads.insert(name.to_string());
         total_slots += sum;
         rows += 1;
     }

@@ -213,11 +213,6 @@ impl FrameAllocator {
         Ok(page)
     }
 
-    /// Frames handed out so far.
-    pub fn allocated_bytes(&self, base: u64) -> u64 {
-        self.next - base
-    }
-
     /// The next frame that would be returned (exclusive high-water mark).
     pub fn high_water(&self) -> u64 {
         self.next

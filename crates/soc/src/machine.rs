@@ -50,15 +50,6 @@ pub enum RunError {
     },
 }
 
-impl RunError {
-    /// The partial statistics captured when the run was stopped.
-    pub fn partial(&self) -> &MachineStats {
-        match self {
-            RunError::Timeout { partial, .. } | RunError::Cancelled { partial, .. } => partial,
-        }
-    }
-}
-
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
