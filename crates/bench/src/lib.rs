@@ -34,7 +34,7 @@ pub use figures::{
 };
 pub use runner::{
     is_partial_line, run_grid_scheduled, GridMetrics, GridOutcome, GridPoint, GridSchedule,
-    PartialPoint, PointResult, WarmFork, AGGREGATED_WORKER, SLICE_CYCLES,
+    PartialPoint, PointResult, WarmFork, SLICE_CYCLES,
 };
 pub use sharding::{plan_grid, GridPlan};
 

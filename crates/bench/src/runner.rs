@@ -59,13 +59,6 @@ impl GridPoint {
     }
 }
 
-/// The `worker` value marking a result aggregated across seeds (see
-/// `mi6_bench::mean_results`) rather than produced by one driver
-/// worker. Distinct from any real worker id so the shard-balance report
-/// built from journal `wall_ms`/`worker` fields can exclude aggregated
-/// points instead of silently crediting them all to worker 0.
-pub const AGGREGATED_WORKER: usize = u32::MAX as usize;
-
 /// A completed grid point.
 #[derive(Clone, Debug)]
 pub struct PointResult {
@@ -77,8 +70,8 @@ pub struct PointResult {
     /// run), in milliseconds.
     pub wall_ms: u64,
     /// The worker that ran the point (0 when not run by a worker, e.g. a
-    /// merge-reconstructed result predating workers;
-    /// [`AGGREGATED_WORKER`] for seed-aggregated means).
+    /// seed-aggregated mean or a merge-reconstructed result predating
+    /// workers).
     pub worker: usize,
     /// Warm-up provenance: `"cold"`, `"exact:<cycles>"`, or
     /// `"forkbase:<cycles>"`. Cold and exact runs are bit-identical and

@@ -212,67 +212,6 @@ pub fn load_shard_dir(dir: &Path) -> std::io::Result<LoadedShards> {
     Ok(loaded)
 }
 
-/// Renders the shard-balance report: per-worker wall-clock totals across
-/// every loaded journal point, plus the busiest worker's skew over the
-/// mean — the headroom a rebalance (more shards, smaller batches) would
-/// reclaim. Seed-aggregated sentinel points ([`crate::AGGREGATED_WORKER`])
-/// are excluded: their time was already journaled under the real workers
-/// that produced the per-seed runs, and crediting the aggregate to a fake
-/// worker would double-count it.
-pub fn balance_report(loaded: &LoadedShards) -> String {
-    use std::fmt::Write as _;
-    let mut per_worker: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
-    let mut aggregated = 0usize;
-    for (_, res) in &loaded.results {
-        if res.worker == crate::AGGREGATED_WORKER {
-            aggregated += 1;
-            continue;
-        }
-        let slot = per_worker.entry(res.worker).or_insert((0, 0));
-        slot.0 += res.wall_ms;
-        slot.1 += 1;
-    }
-    let mut out = String::new();
-    if per_worker.is_empty() {
-        writeln!(
-            out,
-            "shard balance: no per-worker points journaled{}",
-            if aggregated > 0 {
-                format!(" ({aggregated} aggregated point(s) excluded)")
-            } else {
-                String::new()
-            }
-        )
-        .expect("string write");
-        return out;
-    }
-    let points: usize = per_worker.values().map(|&(_, n)| n).sum();
-    writeln!(
-        out,
-        "shard balance: {points} point(s) across {} worker(s){}",
-        per_worker.len(),
-        if aggregated > 0 {
-            format!(" ({aggregated} aggregated point(s) excluded)")
-        } else {
-            String::new()
-        }
-    )
-    .expect("string write");
-    for (worker, &(ms, n)) in &per_worker {
-        writeln!(out, "  worker {worker:>3}: {ms:>8} ms over {n} point(s)").expect("string write");
-    }
-    let max = per_worker.values().map(|&(ms, _)| ms).max().unwrap_or(0);
-    let total: u64 = per_worker.values().map(|&(ms, _)| ms).sum();
-    let mean = total as f64 / per_worker.len() as f64;
-    writeln!(
-        out,
-        "  busiest: {max} ms vs {mean:.1} ms mean ({:.2}x skew)",
-        if mean > 0.0 { max as f64 / mean } else { 1.0 },
-    )
-    .expect("string write");
-    out
-}
-
 /// Why a merge refused to combine shard files.
 #[derive(Clone, Debug)]
 pub enum MergeError {
@@ -545,55 +484,6 @@ mod tests {
         assert_eq!(r.record.llc_mpki, 0.25);
         assert_eq!(r.worker, 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn balance_report_sums_per_worker_and_excludes_aggregates() {
-        let plan = plan_grid(&[6], tiny_opts(), 1, &Workload::ALL);
-        let mut results: Vec<(String, PointResult)> = Vec::new();
-        // Workers 0 and 1 split the grid 2:1 by wall time; one
-        // seed-aggregated sentinel point must not be credited anywhere.
-        for (i, p) in plan.points.iter().enumerate() {
-            let mut r = fake(p, "cold");
-            if i == 0 {
-                r.worker = crate::AGGREGATED_WORKER;
-                r.wall_ms = 1_000_000; // would dwarf everything if counted
-            } else if i % 2 == 0 {
-                r.worker = 0;
-                r.wall_ms = 20;
-            } else {
-                r.worker = 1;
-                r.wall_ms = 10;
-            }
-            results.push((p.key(), r));
-        }
-        let loaded = LoadedShards {
-            results,
-            files: 1,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let report = balance_report(&loaded);
-        assert!(
-            report.contains("1 aggregated point(s) excluded"),
-            "{report}"
-        );
-        assert!(!report.contains("1000000"), "{report}");
-        assert!(report.contains("worker   0"), "{report}");
-        assert!(report.contains("worker   1"), "{report}");
-        // Totals per worker appear verbatim.
-        let w0: u64 = plan
-            .points
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 0 && i % 2 == 0)
-            .count() as u64
-            * 20;
-        assert!(report.contains(&format!("{w0} ms")), "{report}");
-        assert!(report.contains("x skew"), "{report}");
-        // No journaled workers at all degrades gracefully.
-        let empty = balance_report(&LoadedShards::default());
-        assert!(empty.contains("no per-worker points"), "{empty}");
     }
 
     #[test]

@@ -282,23 +282,7 @@ impl SnapState for Tournament {
     }
 }
 
-impl SnapState for Prediction {
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.taken);
-        w.bool(self.local_taken);
-        w.bool(self.global_taken);
-        w.u16(self.ghist_at_predict);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Prediction {
-            taken: r.bool()?,
-            local_taken: r.bool()?,
-            global_taken: r.bool()?,
-            ghist_at_predict: r.u16()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { Prediction { taken, local_taken, global_taken, ghist_at_predict } }
 
 impl SnapState for Ras {
     fn save(&self, w: &mut SnapWriter) {

@@ -127,82 +127,17 @@ impl SecurityConfig {
 
 // ---------------------------------------------------------------- snapshot
 
-use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
-
-impl SnapState for CoreConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.fetch_width,
-            self.btb_entries,
-            self.ras_entries,
-            self.rob_entries,
-            self.commit_width,
-            self.iq_entries,
-            self.lq_entries,
-            self.sq_entries,
-            self.sb_entries,
-            self.fetch_queue,
-            self.l1_tlb_entries,
-            self.dtlb_max_misses,
-            self.l2_tlb_entries,
-            self.l2_tlb_ways,
-            self.tcache_entries,
-        ] {
-            w.usize(v);
-        }
-        for v in [
-            self.mul_latency,
-            self.div_latency,
-            self.fp_latency,
-            self.fdiv_latency,
-            self.purge_cycles,
-        ] {
-            w.u32(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CoreConfig {
-            fetch_width: r.usize()?,
-            btb_entries: r.usize()?,
-            ras_entries: r.usize()?,
-            rob_entries: r.usize()?,
-            commit_width: r.usize()?,
-            iq_entries: r.usize()?,
-            lq_entries: r.usize()?,
-            sq_entries: r.usize()?,
-            sb_entries: r.usize()?,
-            fetch_queue: r.usize()?,
-            l1_tlb_entries: r.usize()?,
-            dtlb_max_misses: r.usize()?,
-            l2_tlb_entries: r.usize()?,
-            l2_tlb_ways: r.usize()?,
-            tcache_entries: r.usize()?,
-            mul_latency: r.u32()?,
-            div_latency: r.u32()?,
-            fp_latency: r.u32()?,
-            fdiv_latency: r.u32()?,
-            purge_cycles: r.u32()?,
-        })
+mi6_snapshot::snap_struct! {
+    CoreConfig {
+        fetch_width, btb_entries, ras_entries, rob_entries, commit_width, iq_entries, lq_entries,
+        sq_entries, sb_entries, fetch_queue, l1_tlb_entries, dtlb_max_misses, l2_tlb_entries,
+        l2_tlb_ways, tcache_entries, mul_latency, div_latency, fp_latency, fdiv_latency,
+        purge_cycles,
     }
 }
 
-impl SnapState for SecurityConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.flush_on_trap);
-        w.bool(self.nonspec_all_modes);
-        w.bool(self.machine_mode_guard);
-        w.bool(self.region_checks);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SecurityConfig {
-            flush_on_trap: r.bool()?,
-            nonspec_all_modes: r.bool()?,
-            machine_mode_guard: r.bool()?,
-            region_checks: r.bool()?,
-        })
-    }
+mi6_snapshot::snap_struct! {
+    SecurityConfig { flush_on_trap, nonspec_all_modes, machine_mode_guard, region_checks }
 }
 
 #[cfg(test)]

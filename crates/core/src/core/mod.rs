@@ -456,11 +456,6 @@ impl Core {
         &self.cfg
     }
 
-    /// Whether the pipeline holds no in-flight instructions.
-    pub fn pipeline_empty(&self) -> bool {
-        self.rob.is_empty() && self.fetch_queue.is_empty()
-    }
-
     /// Instantaneous backend occupancies for the metrics sampler:
     /// `(rob, iq_total, lq, sq, sb)`.
     pub fn occupancy(&self) -> (usize, usize, usize, usize, usize) {
@@ -471,11 +466,6 @@ impl Core {
             self.sq_used,
             self.sb.len(),
         )
-    }
-
-    /// Whether a purge/flush sequence is in progress.
-    pub fn purging(&self) -> bool {
-        self.purge != PurgePhase::Idle
     }
 
     fn region_bitvec(&self) -> RegionBitvec {

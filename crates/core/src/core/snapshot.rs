@@ -91,46 +91,10 @@ impl SnapState for MemPhase {
     }
 }
 
-impl SnapState for MemState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.vaddr);
-        self.paddr.save(w);
-        w.u64(self.bytes);
-        w.bool(self.is_store);
-        self.store_data.save(w);
-        self.phase.save(w);
-    }
+mi6_snapshot::snap_struct! { MemState { vaddr, paddr, bytes, is_store, store_data, phase } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemState {
-            vaddr: r.u64()?,
-            paddr: SnapState::load(r)?,
-            bytes: r.u64()?,
-            is_store: r.bool()?,
-            store_data: SnapState::load(r)?,
-            phase: MemPhase::load(r)?,
-        })
-    }
-}
-
-impl SnapState for BranchState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.pred_taken);
-        w.u64(self.pred_target);
-        self.tournament.save(w);
-        self.actual_taken.save(w);
-        w.u64(self.actual_target);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(BranchState {
-            pred_taken: r.bool()?,
-            pred_target: r.u64()?,
-            tournament: SnapState::load(r)?,
-            actual_taken: SnapState::load(r)?,
-            actual_target: r.u64()?,
-        })
-    }
+mi6_snapshot::snap_struct! {
+    BranchState { pred_taken, pred_target, tournament, actual_taken, actual_target }
 }
 
 impl SnapState for Stage {
@@ -163,36 +127,8 @@ impl SnapState for Stage {
     }
 }
 
-impl SnapState for RobEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.seq);
-        w.u64(self.pc);
-        self.inst.save(w);
-        self.stage.save(w);
-        self.srcs.save(w);
-        self.dest.save(w);
-        self.prev_map.save(w);
-        w.u64(self.result);
-        self.branch.save(w);
-        self.mem.save(w);
-        self.exception.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RobEntry {
-            seq: r.u64()?,
-            pc: r.u64()?,
-            inst: Inst::load(r)?,
-            stage: Stage::load(r)?,
-            srcs: SnapState::load(r)?,
-            dest: SnapState::load(r)?,
-            prev_map: SnapState::load(r)?,
-            result: r.u64()?,
-            branch: SnapState::load(r)?,
-            mem: SnapState::load(r)?,
-            exception: SnapState::load(r)?,
-        })
-    }
+mi6_snapshot::snap_struct! {
+    RobEntry { seq, pc, inst, stage, srcs, dest, prev_map, result, branch, mem, exception }
 }
 
 /// The ROB serializes in its logical entry form — a length then each
@@ -244,21 +180,7 @@ impl SnapState for WalkClient {
     }
 }
 
-impl SnapState for WalkReq {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.vpn);
-        self.kind.save(w);
-        self.client.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WalkReq {
-            vpn: r.u64()?,
-            kind: AccessKind::load(r)?,
-            client: WalkClient::load(r)?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { WalkReq { vpn, kind, client } }
 
 impl SnapState for WalkPending {
     fn save(&self, w: &mut SnapWriter) {
@@ -289,25 +211,7 @@ impl SnapState for WalkPending {
     }
 }
 
-impl SnapState for ActiveWalk {
-    fn save(&self, w: &mut SnapWriter) {
-        self.req.save(w);
-        w.usize(self.level);
-        w.u64(self.table);
-        self.pending.save(w);
-        w.u64(self.pte_addr);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ActiveWalk {
-            req: WalkReq::load(r)?,
-            level: r.usize()?,
-            table: r.u64()?,
-            pending: WalkPending::load(r)?,
-            pte_addr: r.u64()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { ActiveWalk { req, level, table, pending, pte_addr } }
 
 impl SnapState for WalkResult {
     fn save(&self, w: &mut SnapWriter) {
@@ -389,27 +293,10 @@ impl SnapState for FetchState {
     }
 }
 
-impl SnapState for FetchedInst {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.pc);
-        self.inst.save(w);
-        self.pred.save(w);
-        self.poison.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FetchedInst {
-            pc: r.u64()?,
-            inst: Inst::load(r)?,
-            pred: SnapState::load(r)?,
-            poison: SnapState::load(r)?,
-            // Observability-only, never serialized: restored entries
-            // trace a fetch stamp of 0 ("unknown"), keeping the snapshot
-            // format unchanged.
-            fetched_at: 0,
-        })
-    }
-}
+// `fetched_at` is observability-only, never serialized: restored
+// entries trace a fetch stamp of 0 ("unknown"), keeping the snapshot
+// format unchanged.
+mi6_snapshot::snap_struct! { FetchedInst { pc, inst, pred, poison } runtime { fetched_at: 0 } }
 
 impl SnapState for PurgePhase {
     fn save(&self, w: &mut SnapWriter) {
@@ -437,23 +324,7 @@ impl SnapState for PurgePhase {
     }
 }
 
-impl SnapState for SbEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.line);
-        w.bool(self.issued);
-        w.u64(self.token);
-        w.bool(self.done);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SbEntry {
-            line: r.u64()?,
-            issued: r.bool()?,
-            token: r.u64()?,
-            done: r.bool()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { SbEntry { line, issued, token, done } }
 
 /// Serializes a hash map as sorted `(key, value)` pairs.
 fn save_sorted_map<V: SnapState + Clone, S: std::hash::BuildHasher>(
@@ -588,6 +459,16 @@ impl Core {
         self.next_seq = r.u64()?;
         self.rat = SnapState::load(r)?;
         self.iqs = SnapState::load(r)?;
+        // The wakeup rebuild below looks every IQ entry up in the ROB.
+        let orphan = self.iqs.iter().flatten().find(|&&seq| {
+            self.rob_index(seq)
+                .is_none_or(|idx| self.rob.stage(idx) != Stage::InIq)
+        });
+        if let Some(seq) = orphan {
+            return Err(SnapError::BadValue {
+                what: format!("IQ entry {seq} is not waiting in the ROB"),
+            });
+        }
         self.muldiv_busy_until = r.u64()?;
         self.lq_used = r.usize()?;
         self.sq_used = r.usize()?;

@@ -69,53 +69,11 @@ impl CoreStats {
 
 // ---------------------------------------------------------------- snapshot
 
-use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
-
-impl SnapState for CoreStats {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.cycles,
-            self.committed_instructions,
-            self.committed_branches,
-            self.branch_mispredicts,
-            self.jump_mispredicts,
-            self.traps,
-            self.trap_returns,
-            self.purges,
-            self.flush_stall_cycles,
-            self.loads,
-            self.stores,
-            self.mem_order_violations,
-            self.page_walks,
-            self.region_faults,
-            self.region_suppressed,
-            self.nonspec_stall_cycles,
-            self.squashed_instructions,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CoreStats {
-            cycles: r.u64()?,
-            committed_instructions: r.u64()?,
-            committed_branches: r.u64()?,
-            branch_mispredicts: r.u64()?,
-            jump_mispredicts: r.u64()?,
-            traps: r.u64()?,
-            trap_returns: r.u64()?,
-            purges: r.u64()?,
-            flush_stall_cycles: r.u64()?,
-            loads: r.u64()?,
-            stores: r.u64()?,
-            mem_order_violations: r.u64()?,
-            page_walks: r.u64()?,
-            region_faults: r.u64()?,
-            region_suppressed: r.u64()?,
-            nonspec_stall_cycles: r.u64()?,
-            squashed_instructions: r.u64()?,
-        })
+mi6_snapshot::snap_struct! {
+    CoreStats {
+        cycles, committed_instructions, committed_branches, branch_mispredicts, jump_mispredicts,
+        traps, trap_returns, purges, flush_stall_cycles, loads, stores, mem_order_violations,
+        page_walks, region_faults, region_suppressed, nonspec_stall_cycles, squashed_instructions,
     }
 }
 

@@ -234,23 +234,7 @@ impl TranslationCache {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for TlbEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.vpn);
-        w.usize(self.level);
-        self.pte.save(w);
-        w.bool(self.region_ok);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TlbEntry {
-            vpn: r.u64()?,
-            level: r.usize()?,
-            pte: PageTableEntry::load(r)?,
-            region_ok: r.bool()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { TlbEntry { vpn, level, pte, region_ok } }
 
 impl SnapState for Tlb {
     fn save(&self, w: &mut SnapWriter) {

@@ -27,8 +27,7 @@ use std::time::Instant;
 
 /// What a worker passes to each step it runs.
 pub struct WorkerCtx {
-    /// The running worker's id, in `0..workers` (recorded per point so
-    /// shard balance is measurable from the output alone).
+    /// The running worker's id, in `0..workers` (journaled per point).
     pub worker: usize,
     /// The driver-wide cancel flag; hand it to the machine being run so
     /// cancellation can interrupt a task mid-step.

@@ -125,63 +125,11 @@ impl SnapState for PageTableEntry {
     }
 }
 
-impl SnapState for CsrFile {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.mstatus,
-            self.medeleg,
-            self.mideleg,
-            self.mie,
-            self.mtvec,
-            self.mscratch,
-            self.mepc,
-            self.mcause,
-            self.mtval,
-            self.mip,
-            self.mregions,
-            self.mfetchbase,
-            self.mfetchbound,
-            self.mtimecmp,
-            self.stvec,
-            self.sscratch,
-            self.sepc,
-            self.scause,
-            self.stval,
-            self.satp,
-            self.stimecmp,
-            self.cycle,
-            self.instret,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CsrFile {
-            mstatus: r.u64()?,
-            medeleg: r.u64()?,
-            mideleg: r.u64()?,
-            mie: r.u64()?,
-            mtvec: r.u64()?,
-            mscratch: r.u64()?,
-            mepc: r.u64()?,
-            mcause: r.u64()?,
-            mtval: r.u64()?,
-            mip: r.u64()?,
-            mregions: r.u64()?,
-            mfetchbase: r.u64()?,
-            mfetchbound: r.u64()?,
-            mtimecmp: r.u64()?,
-            stvec: r.u64()?,
-            sscratch: r.u64()?,
-            sepc: r.u64()?,
-            scause: r.u64()?,
-            stval: r.u64()?,
-            satp: r.u64()?,
-            stimecmp: r.u64()?,
-            cycle: r.u64()?,
-            instret: r.u64()?,
-        })
+mi6_snapshot::snap_struct! {
+    CsrFile {
+        mstatus, medeleg, mideleg, mie, mtvec, mscratch, mepc, mcause, mtval, mip, mregions,
+        mfetchbase, mfetchbound, mtimecmp, stvec, sscratch, sepc, scause, stval, satp, stimecmp,
+        cycle, instret,
     }
 }
 

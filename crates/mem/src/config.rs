@@ -315,23 +315,7 @@ impl MemConfig {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for L1Config {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.size_bytes);
-        w.usize(self.ways);
-        w.usize(self.mshrs);
-        w.u32(self.hit_latency);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L1Config {
-            size_bytes: r.u64()?,
-            ways: r.usize()?,
-            mshrs: r.usize()?,
-            hit_latency: r.u32()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { L1Config { size_bytes, ways, mshrs, hit_latency } }
 
 impl SnapState for LlcIndexing {
     fn save(&self, w: &mut SnapWriter) {
@@ -421,69 +405,15 @@ two_way_enum_snap!(UqOrg, Shared, PerCore);
 two_way_enum_snap!(DowngradeOrg, Single, PerPartition);
 two_way_enum_snap!(DqOrg, TwoCycleDequeue, RetryBit);
 
-impl SnapState for LlcConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.size_bytes);
-        w.usize(self.ways);
-        self.indexing.save(w);
-        self.mshrs.save(w);
-        self.arbitration.save(w);
-        self.uq.save(w);
-        self.downgrade.save(w);
-        self.dq.save(w);
-        w.u32(self.pipeline_latency);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LlcConfig {
-            size_bytes: r.u64()?,
-            ways: r.usize()?,
-            indexing: LlcIndexing::load(r)?,
-            mshrs: MshrOrg::load(r)?,
-            arbitration: LlcArbitration::load(r)?,
-            uq: UqOrg::load(r)?,
-            downgrade: DowngradeOrg::load(r)?,
-            dq: DqOrg::load(r)?,
-            pipeline_latency: r.u32()?,
-        })
+mi6_snapshot::snap_struct! {
+    LlcConfig {
+        size_bytes, ways, indexing, mshrs, arbitration, uq, downgrade, dq, pipeline_latency,
     }
 }
 
-impl SnapState for DramConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.size_bytes);
-        w.u32(self.latency);
-        w.usize(self.max_inflight);
-        w.usize(self.regions);
-    }
+mi6_snapshot::snap_struct! { DramConfig { size_bytes, latency, max_inflight, regions } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DramConfig {
-            size_bytes: r.u64()?,
-            latency: r.u32()?,
-            max_inflight: r.usize()?,
-            regions: r.usize()?,
-        })
-    }
-}
-
-impl SnapState for MemConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        self.l1i.save(w);
-        self.l1d.save(w);
-        self.llc.save(w);
-        self.dram.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemConfig {
-            l1i: L1Config::load(r)?,
-            l1d: L1Config::load(r)?,
-            llc: LlcConfig::load(r)?,
-            dram: DramConfig::load(r)?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { MemConfig { l1i, l1d, llc, dram } }
 
 #[cfg(test)]
 mod tests {

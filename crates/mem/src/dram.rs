@@ -124,21 +124,7 @@ impl Dram {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for DramReq {
-    fn save(&self, w: &mut SnapWriter) {
-        self.line.save(w);
-        w.bool(self.is_write);
-        w.u32(self.tag);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DramReq {
-            line: PhysAddr::load(r)?,
-            is_write: r.bool()?,
-            tag: r.u32()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { DramReq { line, is_write, tag } }
 
 impl SnapState for Dram {
     fn save(&self, w: &mut SnapWriter) {

@@ -507,87 +507,18 @@ impl L1Cache {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for LineEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.tag);
-        self.state.save(w);
-        w.bool(self.dirty);
-        w.bool(self.locked);
-    }
+mi6_snapshot::snap_struct! { LineEntry { tag, state, dirty, locked } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LineEntry {
-            tag: r.u64()?,
-            state: MsiState::load(r)?,
-            dirty: r.bool()?,
-            locked: r.bool()?,
-        })
-    }
+mi6_snapshot::snap_struct! { Mshr { line, want, set, way, any_store, waiters } }
+
+// `level` is observability-only and never serialized: a restored
+// completion reads as the default serve level.
+mi6_snapshot::snap_struct! {
+    L1Completion { token, ready_at } runtime { level: ServeLevel::default() }
 }
 
-impl SnapState for Mshr {
-    fn save(&self, w: &mut SnapWriter) {
-        self.line.save(w);
-        self.want.save(w);
-        w.usize(self.set);
-        w.usize(self.way);
-        w.bool(self.any_store);
-        self.waiters.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Mshr {
-            line: PhysAddr::load(r)?,
-            want: MsiState::load(r)?,
-            set: r.usize()?,
-            way: r.usize()?,
-            any_store: r.bool()?,
-            waiters: SnapState::load(r)?,
-        })
-    }
-}
-
-impl SnapState for L1Completion {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.token);
-        w.u64(self.ready_at);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L1Completion {
-            token: r.u64()?,
-            ready_at: r.u64()?,
-            level: ServeLevel::default(),
-        })
-    }
-}
-
-impl SnapState for L1Stats {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.hits,
-            self.misses,
-            self.merged,
-            self.blocked,
-            self.writebacks,
-            self.downgrades,
-            self.flushed_lines,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L1Stats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            merged: r.u64()?,
-            blocked: r.u64()?,
-            writebacks: r.u64()?,
-            downgrades: r.u64()?,
-            flushed_lines: r.u64()?,
-        })
-    }
+mi6_snapshot::snap_struct! {
+    L1Stats { hits, misses, merged, blocked, writebacks, downgrades, flushed_lines }
 }
 
 impl L1Cache {

@@ -15,7 +15,7 @@
 use super::{Llc, LlcLine, MshrEntry, MshrState, PipeMsg};
 use crate::config::{LlcConfig, LINE_SHIFT};
 use crate::llc::CoreLink;
-use crate::msi::{ChildId, DowngradeResp, MsiState};
+use crate::msi::DowngradeResp;
 use mi6_isa::PhysAddr;
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 use std::collections::VecDeque;
@@ -23,27 +23,7 @@ use std::collections::VecDeque;
 use super::AfterDowngrade;
 use super::LlcStats;
 
-impl SnapState for LlcLine {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.tag);
-        w.bool(self.valid);
-        w.bool(self.dirty);
-        w.u32(self.sharers);
-        w.bool(self.child_m);
-        self.locked_by.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LlcLine {
-            tag: r.u64()?,
-            valid: r.bool()?,
-            dirty: r.bool()?,
-            sharers: r.u32()?,
-            child_m: r.bool()?,
-            locked_by: SnapState::load(r)?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { LlcLine { tag, valid, dirty, sharers, child_m, locked_by } }
 
 impl SnapState for MshrState {
     fn save(&self, w: &mut SnapWriter) {
@@ -100,44 +80,13 @@ impl SnapState for AfterDowngrade {
     }
 }
 
-impl SnapState for MshrEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        self.child.save(w);
-        self.line.save(w);
-        self.want.save(w);
-        self.state.save(w);
-        w.usize(self.set);
-        w.usize(self.way);
-        w.bool(self.needs_wb);
-        self.victim_line.save(w);
-        self.wait_line.save(w);
-        w.u32(self.pending_downgrades);
-        self.to_downgrade.save(w);
-        self.after.save(w);
-        w.bool(self.retry);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MshrEntry {
-            child: ChildId::load(r)?,
-            line: PhysAddr::load(r)?,
-            want: MsiState::load(r)?,
-            state: MshrState::load(r)?,
-            set: r.usize()?,
-            way: r.usize()?,
-            needs_wb: r.bool()?,
-            victim_line: PhysAddr::load(r)?,
-            wait_line: PhysAddr::load(r)?,
-            pending_downgrades: r.u32()?,
-            to_downgrade: SnapState::load(r)?,
-            after: AfterDowngrade::load(r)?,
-            retry: r.bool()?,
-            // Observability-only serve-level bit: not serialized (a
-            // restored fill reads as an LLC serve; not worth a format
-            // bump).
-            from_dram: false,
-        })
-    }
+// Observability-only serve-level bit: not serialized (a restored fill
+// reads as an LLC serve; not worth a format bump).
+mi6_snapshot::snap_struct! {
+    MshrEntry {
+        child, line, want, state, set, way, needs_wb, victim_line, wait_line, pending_downgrades,
+        to_downgrade, after, retry,
+    } runtime { from_dram: false }
 }
 
 impl SnapState for PipeMsg {
@@ -172,53 +121,14 @@ impl SnapState for PipeMsg {
     }
 }
 
-impl SnapState for LlcStats {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.writebacks,
-            self.downgrades_sent,
-            self.arb_wait_cycles,
-            self.conflicts,
-            self.dq_retries,
-            self.dq_double_cycles,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LlcStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            writebacks: r.u64()?,
-            downgrades_sent: r.u64()?,
-            arb_wait_cycles: r.u64()?,
-            conflicts: r.u64()?,
-            dq_retries: r.u64()?,
-            dq_double_cycles: r.u64()?,
-        })
+mi6_snapshot::snap_struct! {
+    LlcStats {
+        hits, misses, evictions, writebacks, downgrades_sent, arb_wait_cycles, conflicts,
+        dq_retries, dq_double_cycles,
     }
 }
 
-impl SnapState for CoreLink {
-    fn save(&self, w: &mut SnapWriter) {
-        self.up_req.save(w);
-        self.up_resp.save(w);
-        self.down.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CoreLink {
-            up_req: SnapState::load(r)?,
-            up_resp: SnapState::load(r)?,
-            down: SnapState::load(r)?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { CoreLink { up_req, up_resp, down } }
 
 impl CoreLink {
     /// Whether all three FIFOs are empty.
@@ -359,6 +269,12 @@ impl Llc {
                     continue;
                 }
                 let addr = PhysAddr::new(line.tag << LINE_SHIFT);
+                let map = &self.region_map;
+                if addr.raw() / map.region_bytes() >= u64::from(map.regions()) {
+                    return Err(SnapError::BadValue {
+                        what: format!("LLC line {addr} is outside DRAM"),
+                    });
+                }
                 let set = self.set_index(addr);
                 match self.sets[set].iter_mut().find(|l| !l.valid) {
                     Some(slot) => {

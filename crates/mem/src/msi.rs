@@ -183,39 +183,9 @@ impl SnapState for ChildId {
     }
 }
 
-impl SnapState for UpgradeReq {
-    fn save(&self, w: &mut SnapWriter) {
-        self.child.save(w);
-        self.line.save(w);
-        self.want.save(w);
-    }
+mi6_snapshot::snap_struct! { UpgradeReq { child, line, want } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(UpgradeReq {
-            child: ChildId::load(r)?,
-            line: PhysAddr::load(r)?,
-            want: MsiState::load(r)?,
-        })
-    }
-}
-
-impl SnapState for DowngradeResp {
-    fn save(&self, w: &mut SnapWriter) {
-        self.child.save(w);
-        self.line.save(w);
-        self.now.save(w);
-        w.bool(self.dirty);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DowngradeResp {
-            child: ChildId::load(r)?,
-            line: PhysAddr::load(r)?,
-            now: MsiState::load(r)?,
-            dirty: r.bool()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { DowngradeResp { child, line, now, dirty } }
 
 impl SnapState for ParentMsg {
     fn save(&self, w: &mut SnapWriter) {

@@ -305,12 +305,6 @@ impl MemSystem {
         self.dram.inflight()
     }
 
-    /// The LLC set index of an address under the active indexing function
-    /// (exposed for the PART experiment's working-set analysis).
-    pub fn llc_set_index(&self, addr: PhysAddr) -> usize {
-        self.llc.set_index(addr.line_base())
-    }
-
     /// The line base address for a byte address.
     pub fn line_of(addr: PhysAddr) -> PhysAddr {
         PhysAddr::new(addr.raw() >> LINE_SHIFT << LINE_SHIFT)

@@ -8,9 +8,13 @@
 //! mi6-obs-check stacks FILE...
 //! ```
 //!
-//! Exits non-zero (with the offending line in the message) on the first
-//! schema violation; prints a one-line summary per valid file.
+//! Checks every file and prints a one-line summary per valid file. Each
+//! invalid file gets a `FAIL` line on stderr naming the offending line,
+//! and the exit status is 1 if any file failed. A closed stdout (say,
+//! `| head -1`) ends the summaries but not the checking; any other
+//! stdout error exits 1.
 
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -26,7 +30,8 @@ fn main() -> ExitCode {
     if files.is_empty() {
         return usage();
     }
-    let mut failed = false;
+    let mut out = std::io::stdout().lock();
+    let (mut printing, mut failed) = (true, false);
     for f in files {
         let path = Path::new(f);
         let outcome = match mode.as_str() {
@@ -60,7 +65,15 @@ fn main() -> ExitCode {
             _ => return usage(),
         };
         match outcome {
-            Ok(line) => println!("{line}"),
+            Ok(line) if printing => match writeln!(out, "{line}") {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => printing = false,
+                Err(e) => {
+                    eprintln!("mi6-obs-check: writing stdout: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
+            Ok(_) => {}
             Err(e) => {
                 eprintln!("FAIL {e}");
                 failed = true;

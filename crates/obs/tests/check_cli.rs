@@ -1,0 +1,46 @@
+//! End-to-end checks of the `mi6-obs-check` binary.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A stacks artifact holding one row from `mi6_obs::stacks_row`, valid
+/// or with its sum invariant broken.
+fn stacks_file(name: &str, valid: bool) -> PathBuf {
+    let mut slots = [0u64; 16];
+    slots[0] = if valid { 200 } else { 199 };
+    let row = mi6_obs::stacks_row("gcc", "BASE", 0, 100, 2, &slots);
+    let path = std::env::temp_dir().join(format!("mi6-obs-check-{}-{name}", std::process::id()));
+    std::fs::write(&path, row + "\n").unwrap();
+    path
+}
+
+/// Runs `mi6-obs-check stacks FILES` with stdout on a pipe whose reader
+/// is already gone.
+fn stacks_into_closed_pipe(files: &[PathBuf]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_mi6-obs-check"))
+        .arg("stacks")
+        .args(files)
+        .stdout(writer)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn a_closed_stdout_ends_the_summaries_but_not_the_checks() {
+    let good = [stacks_file("a.jsonl", true), stacks_file("b.jsonl", true)];
+    let out = stacks_into_closed_pipe(&good);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let bad = stacks_file("bad.jsonl", false);
+    let out = stacks_into_closed_pipe(&[good[0].clone(), bad.clone(), good[1].clone()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("sum invariant violated"), "{stderr}");
+    for f in good.iter().chain([&bad]) {
+        std::fs::remove_file(f).unwrap();
+    }
+}

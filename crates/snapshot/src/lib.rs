@@ -333,7 +333,8 @@ impl<'a> SnapReader<'a> {
 /// `load(save(x)) == x` for every reachable state. Geometry-carrying
 /// containers (caches, the core) use inherent `save_state`/`restore_state`
 /// methods instead, restoring in place into an already-configured
-/// structure; this trait is for plain values.
+/// structure; this trait is for plain values. Plain records implement it
+/// through [`snap_struct!`].
 pub trait SnapState: Sized {
     /// Appends this value's encoding to `w`.
     fn save(&self, w: &mut SnapWriter);
@@ -361,6 +362,55 @@ prim_impl!(u64, u64, u64);
 prim_impl!(i32, i32, i32);
 prim_impl!(usize, usize, usize);
 prim_impl!(bool, bool, bool);
+
+/// Implements [`SnapState`] for a plain struct from one field list.
+///
+/// `save` writes the listed fields in list order and `load` builds the
+/// struct reading them back in that same order, so the list is the
+/// type's wire order, stated once. A field the list leaves out does not
+/// compile unless the optional `runtime { field: value }` arm names it:
+/// those fields are never serialized and a restore sets them to `value`.
+///
+/// ```
+/// use mi6_snapshot::{SnapReader, SnapState, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Entry {
+///     tag: u64,
+///     dirty: bool,
+///     seen_at: u64,
+/// }
+/// mi6_snapshot::snap_struct! { Entry { tag, dirty } runtime { seen_at: 0 } }
+///
+/// let mut w = SnapWriter::new();
+/// Entry { tag: 7, dirty: true, seen_at: 99 }.save(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes, [7, 0, 0, 0, 0, 0, 0, 0, 1]);
+/// let back = Entry::load(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Entry { tag: 7, dirty: true, seen_at: 0 });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $ty:ty { $($field:ident),+ $(,)? }
+        $(runtime { $($rt:ident: $val:expr),+ $(,)? })?
+    ) => {
+        impl $crate::SnapState for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                $($crate::SnapState::save(&self.$field, w);)+
+            }
+
+            fn load(
+                r: &mut $crate::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::SnapError> {
+                ::core::result::Result::Ok(Self {
+                    $($field: $crate::SnapState::load(r)?,)+
+                    $($($rt: $val,)+)?
+                })
+            }
+        }
+    };
+}
 
 impl<T: SnapState> SnapState for Option<T> {
     fn save(&self, w: &mut SnapWriter) {

@@ -308,27 +308,7 @@ pub fn load_program(
 
 // ---------------------------------------------------------------- snapshot
 
-use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
-
-impl SnapState for UserImage {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.satp);
-        w.u64(self.entry);
-        w.u64(self.sp);
-        w.u64(self.phys_base);
-        w.u64(self.phys_end);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(UserImage {
-            satp: r.u64()?,
-            entry: r.u64()?,
-            sp: r.u64()?,
-            phys_base: r.u64()?,
-            phys_end: r.u64()?,
-        })
-    }
-}
+mi6_snapshot::snap_struct! { UserImage { satp, entry, sp, phys_base, phys_end } }
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
-//! The snapshot codec at the machine level: the sparse (version-2) layout
-//! against the committed version-1 fixture, and decoder robustness on
-//! damaged version-2 input.
+//! The snapshot codec at the machine level: the version-2 bytes pinned
+//! across builds, the sparse layout against the committed version-1
+//! fixture, and decoder robustness on damaged version-2 input.
 
-use mi6::snapshot::{SnapError, FORMAT_VERSION};
+use mi6::snapshot::{fnv1a64, SnapError, FORMAT_VERSION};
 use mi6::soc::{Machine, SimBuilder, Variant};
 use mi6::workloads::{Workload, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,6 +22,75 @@ fn target() -> Machine {
 
 fn header_version(snapshot: &[u8]) -> u32 {
     u32::from_le_bytes(snapshot[4..8].try_into().unwrap())
+}
+
+/// `variant` with timer 50,000 running `programs` (one per core) for
+/// `cycles` cycles.
+fn mid_run(variant: Variant, programs: Vec<mi6::soc::Program>, cycles: u64) -> Machine {
+    let mut b = SimBuilder::new(variant)
+        .cores(programs.len())
+        .timer_interval(50_000);
+    for (core, program) in programs.into_iter().enumerate() {
+        b = b.workload(core, program);
+    }
+    let mut m = b.build().unwrap();
+    m.run_cycles(cycles);
+    m
+}
+
+/// Restore -> snapshot identity and the golden round trip both still
+/// pass when a type's `save` and `load` change their field order
+/// together, yet checkpoints written before such a change would then
+/// restore the wrong values. So the bytes of four mid-run snapshots
+/// (memory not quiescent) are pinned as (length, FNV-1a).
+#[test]
+fn version_2_snapshot_bytes_are_pinned() {
+    let eval = |kinsts| WorkloadParams::evaluation().with_target_kinsts(kinsts);
+    let machines = [
+        (
+            "BASE gcc",
+            mid_run(
+                Variant::Base,
+                vec![Workload::Gcc.build(&WorkloadParams::tiny().with_target_kinsts(40))],
+                20_000,
+            ),
+            (77_501, 0x6242_e893_9cfa_2480),
+        ),
+        (
+            "F+P+M+A mcf",
+            mid_run(Variant::Fpma, vec![Workload::Mcf.build(&eval(60))], 60_000),
+            (2_485_820, 0xe0f8_d235_1dd8_1290),
+        ),
+        (
+            "FLUSH xalancbmk",
+            mid_run(
+                Variant::Flush,
+                vec![Workload::Xalancbmk.build(&eval(60))],
+                60_000,
+            ),
+            (90_372, 0xe6a1_6d40_b919_d2d5),
+        ),
+        (
+            "two-core MI6 enclave-ws + libquantum",
+            mid_run(
+                Variant::SecureMi6,
+                vec![
+                    Workload::EnclaveWs.build(&eval(40)),
+                    Workload::Libquantum.build(&eval(120)),
+                ],
+                40_000,
+            ),
+            (174_275, 0x40cb_777a_e2a6_e48e),
+        ),
+    ];
+    for (name, machine, pinned) in machines {
+        let bytes = machine.snapshot();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            pinned,
+            "{name}: snapshot bytes moved"
+        );
+    }
 }
 
 /// The pre-SoA fixture is a version-1 snapshot with every page written
@@ -93,4 +162,50 @@ fn damaged_snapshots_are_errors_not_panics() {
     bad.truncate((map + 64 + 8 * 511).min(bad.len()));
     assert_refused(&mut m, &bad, "over-full word map");
     assert!(matches!(m.restore(&bad), Err(SnapError::Eof { .. })));
+}
+
+/// A BASE libquantum state after 60,000 cycles, quiesced the way a
+/// fork-base warm-up quiesces one.
+fn quiesced_libquantum() -> Vec<u8> {
+    let program = Workload::Libquantum.build(&WorkloadParams::evaluation().with_target_kinsts(60));
+    let mut m = mid_run(Variant::Base, vec![program], 60_000);
+    if m.run_until_mem_quiescent(20_000).is_err() {
+        m.drain_to_quiescence(5_000_000).unwrap();
+    }
+    m.snapshot()
+}
+
+/// Restore code indexes by decoded values, so a flipped byte anywhere in
+/// the per-crate sections must come back as `Ok` or `Err`, never as a
+/// panic: in a strict restore, and in forked restores into BASE and into
+/// F+P+M+A.
+#[test]
+fn byte_flips_are_errors_not_panics() {
+    let snap = quiesced_libquantum();
+    let fpma = SimBuilder::new(Variant::Fpma)
+        .timer_interval(50_000)
+        .build()
+        .unwrap();
+    let mut targets = [
+        ("strict restore", target(), true),
+        ("forked restore into BASE", target(), false),
+        ("forked restore into F+P+M+A", fpma, false),
+    ];
+    let mut flips = 0;
+    for at in (0..snap.len()).step_by(snap.len() / 1500) {
+        let mut bad = snap.clone();
+        bad[at] ^= 0xff;
+        for (name, m, strict) in &mut targets {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if *strict {
+                    m.restore(&bad)
+                } else {
+                    m.restore_forked(&bad)
+                }
+            }));
+            assert!(outcome.is_ok(), "{name}, byte {at} flipped: panicked");
+        }
+        flips += 1;
+    }
+    assert!(flips >= 1500, "{flips} flips");
 }
