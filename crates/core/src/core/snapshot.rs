@@ -18,76 +18,18 @@
 use super::*;
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for Src {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            Src::Ready(v) => {
-                w.u8(0);
-                w.u64(v);
-            }
-            Src::Wait { seq, reg } => {
-                w.u8(1);
-                w.u64(seq);
-                reg.save(w);
-            }
-        }
-    }
+mi6_snapshot::snap_enum! { Src { 0 => Ready(v), 1 => Wait { seq, reg } } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Src::Ready(r.u64()?),
-            1 => Src::Wait {
-                seq: r.u64()?,
-                reg: Reg::load(r)?,
-            },
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("Src tag {other}"),
-                })
-            }
-        })
-    }
-}
-
-impl SnapState for MemPhase {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            MemPhase::AddrGen { done_at } => {
-                w.u8(0);
-                w.u64(done_at);
-            }
-            MemPhase::Translate => w.u8(1),
-            MemPhase::TlbLatency { ready_at } => {
-                w.u8(2);
-                w.u64(ready_at);
-            }
-            MemPhase::WaitWalk => w.u8(3),
-            MemPhase::ReadyToAccess => w.u8(4),
-            MemPhase::WaitMem => w.u8(5),
-            MemPhase::WaitValue { ready_at } => {
-                w.u8(6);
-                w.u64(ready_at);
-            }
-            MemPhase::Done => w.u8(7),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => MemPhase::AddrGen { done_at: r.u64()? },
-            1 => MemPhase::Translate,
-            2 => MemPhase::TlbLatency { ready_at: r.u64()? },
-            3 => MemPhase::WaitWalk,
-            4 => MemPhase::ReadyToAccess,
-            5 => MemPhase::WaitMem,
-            6 => MemPhase::WaitValue { ready_at: r.u64()? },
-            7 => MemPhase::Done,
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("MemPhase tag {other}"),
-                })
-            }
-        })
+mi6_snapshot::snap_enum! {
+    MemPhase {
+        0 => AddrGen { done_at },
+        1 => Translate,
+        2 => TlbLatency { ready_at },
+        3 => WaitWalk,
+        4 => ReadyToAccess,
+        5 => WaitMem,
+        6 => WaitValue { ready_at },
+        7 => Done,
     }
 }
 
@@ -97,34 +39,8 @@ mi6_snapshot::snap_struct! {
     BranchState { pred_taken, pred_target, tournament, actual_taken, actual_target }
 }
 
-impl SnapState for Stage {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            Stage::InIq => w.u8(0),
-            Stage::Exec { done_at } => {
-                w.u8(1);
-                w.u64(done_at);
-            }
-            Stage::MemOp => w.u8(2),
-            Stage::AtCommit => w.u8(3),
-            Stage::Done => w.u8(4),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Stage::InIq,
-            1 => Stage::Exec { done_at: r.u64()? },
-            2 => Stage::MemOp,
-            3 => Stage::AtCommit,
-            4 => Stage::Done,
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("Stage tag {other}"),
-                })
-            }
-        })
-    }
+mi6_snapshot::snap_enum! {
+    Stage { 0 => InIq, 1 => Exec { done_at }, 2 => MemOp, 3 => AtCommit, 4 => Done }
 }
 
 mi6_snapshot::snap_struct! {
@@ -156,140 +72,24 @@ impl Rob {
     }
 }
 
-impl SnapState for WalkClient {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            WalkClient::Fetch => w.u8(0),
-            WalkClient::Rob(seq) => {
-                w.u8(1);
-                w.u64(seq);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => WalkClient::Fetch,
-            1 => WalkClient::Rob(r.u64()?),
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("WalkClient tag {other}"),
-                })
-            }
-        })
-    }
-}
+mi6_snapshot::snap_enum! { WalkClient { 0 => Fetch, 1 => Rob(seq) } }
 
 mi6_snapshot::snap_struct! { WalkReq { vpn, kind, client } }
 
-impl SnapState for WalkPending {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            WalkPending::Issue => w.u8(0),
-            WalkPending::Token(t) => {
-                w.u8(1);
-                w.u64(t);
-            }
-            WalkPending::ReadyAt(c) => {
-                w.u8(2);
-                w.u64(c);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => WalkPending::Issue,
-            1 => WalkPending::Token(r.u64()?),
-            2 => WalkPending::ReadyAt(r.u64()?),
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("WalkPending tag {other}"),
-                })
-            }
-        })
-    }
-}
+mi6_snapshot::snap_enum! { WalkPending { 0 => Issue, 1 => Token(t), 2 => ReadyAt(c) } }
 
 mi6_snapshot::snap_struct! { ActiveWalk { req, level, table, pending, pte_addr } }
 
-impl SnapState for WalkResult {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            WalkResult::Ok => w.u8(0),
-            WalkResult::Fault(e) => {
-                w.u8(1);
-                e.save(w);
-            }
-        }
-    }
+mi6_snapshot::snap_enum! { WalkResult { 0 => Ok, 1 => Fault(e) } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => WalkResult::Ok,
-            1 => WalkResult::Fault(Exception::load(r)?),
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("WalkResult tag {other}"),
-                })
-            }
-        })
-    }
-}
-
-impl SnapState for FetchState {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            FetchState::Idle => w.u8(0),
-            FetchState::WaitWalk => w.u8(1),
-            FetchState::TlbDelay {
-                ready_at,
-                paddr,
-                region_ok,
-            } => {
-                w.u8(2);
-                w.u64(ready_at);
-                w.u64(paddr);
-                w.bool(region_ok);
-            }
-            FetchState::WaitICache { token, paddr } => {
-                w.u8(3);
-                w.u64(token);
-                w.u64(paddr);
-            }
-            FetchState::Deliver { ready_at, paddr } => {
-                w.u8(4);
-                w.u64(ready_at);
-                w.u64(paddr);
-            }
-            FetchState::Stalled => w.u8(5),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FetchState::Idle,
-            1 => FetchState::WaitWalk,
-            2 => FetchState::TlbDelay {
-                ready_at: r.u64()?,
-                paddr: r.u64()?,
-                region_ok: r.bool()?,
-            },
-            3 => FetchState::WaitICache {
-                token: r.u64()?,
-                paddr: r.u64()?,
-            },
-            4 => FetchState::Deliver {
-                ready_at: r.u64()?,
-                paddr: r.u64()?,
-            },
-            5 => FetchState::Stalled,
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("FetchState tag {other}"),
-                })
-            }
-        })
+mi6_snapshot::snap_enum! {
+    FetchState {
+        0 => Idle,
+        1 => WaitWalk,
+        2 => TlbDelay { ready_at, paddr, region_ok },
+        3 => WaitICache { token, paddr },
+        4 => Deliver { ready_at, paddr },
+        5 => Stalled,
     }
 }
 
@@ -298,31 +98,7 @@ impl SnapState for FetchState {
 // format unchanged.
 mi6_snapshot::snap_struct! { FetchedInst { pc, inst, pred, poison } runtime { fetched_at: 0 } }
 
-impl SnapState for PurgePhase {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            PurgePhase::Idle => w.u8(0),
-            PurgePhase::DrainMem => w.u8(1),
-            PurgePhase::Flushing { until } => {
-                w.u8(2);
-                w.u64(until);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => PurgePhase::Idle,
-            1 => PurgePhase::DrainMem,
-            2 => PurgePhase::Flushing { until: r.u64()? },
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("PurgePhase tag {other}"),
-                })
-            }
-        })
-    }
-}
+mi6_snapshot::snap_enum! { PurgePhase { 0 => Idle, 1 => DrainMem, 2 => Flushing { until } } }
 
 mi6_snapshot::snap_struct! { SbEntry { line, issued, token, done } }
 
@@ -457,6 +233,15 @@ impl Core {
         self.rob.load_into(r)?;
         w_check(self.rob.len() <= self.cfg.rob_entries, "ROB occupancy")?;
         self.next_seq = r.u64()?;
+        // ROB lookups binary-search the seqs, and renaming goes on from
+        // `next_seq`.
+        let (front, wrapped) = self.rob.seq_slices();
+        let seqs = front.iter().chain(wrapped).chain([&self.next_seq]);
+        if !seqs.is_sorted_by(|a, b| a < b) {
+            return Err(SnapError::BadValue {
+                what: "ROB seqs are not strictly ascending below the next seq".into(),
+            });
+        }
         self.rat = SnapState::load(r)?;
         self.iqs = SnapState::load(r)?;
         // The wakeup rebuild below looks every IQ entry up in the ROB.
@@ -514,5 +299,111 @@ fn w_check(ok: bool, what: &str) -> Result<(), SnapError> {
         Ok(())
     } else {
         Err(SnapError::ConfigMismatch { what: what.into() })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `v`'s bytes, checked to decode to a value that re-encodes to them.
+    fn encoding<T: SnapState>(v: T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let mut again = SnapWriter::new();
+        T::load(&mut r).unwrap().save(&mut again);
+        r.expect_end().unwrap();
+        assert_eq!(again.finish(), bytes);
+        bytes
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// Every variant of each tagged enum in the core keeps its pinned
+    /// bytes; field values are distinct, so a reordered `snap_enum!` row
+    /// shows here although it would still round-trip.
+    #[test]
+    fn enum_variants_keep_their_bytes() {
+        let cases = [
+            (encoding(Src::Ready(1)), "00 0100000000000000"),
+            (
+                encoding(Src::Wait {
+                    seq: 2,
+                    reg: Reg::A0,
+                }),
+                "01 0200000000000000 0a",
+            ),
+            (
+                encoding(MemPhase::AddrGen { done_at: 1 }),
+                "00 0100000000000000",
+            ),
+            (encoding(MemPhase::Translate), "01"),
+            (
+                encoding(MemPhase::TlbLatency { ready_at: 2 }),
+                "02 0200000000000000",
+            ),
+            (encoding(MemPhase::WaitWalk), "03"),
+            (encoding(MemPhase::ReadyToAccess), "04"),
+            (encoding(MemPhase::WaitMem), "05"),
+            (
+                encoding(MemPhase::WaitValue { ready_at: 3 }),
+                "06 0300000000000000",
+            ),
+            (encoding(MemPhase::Done), "07"),
+            (encoding(Stage::InIq), "00"),
+            (encoding(Stage::Exec { done_at: 4 }), "01 0400000000000000"),
+            (encoding(Stage::MemOp), "02"),
+            (encoding(Stage::AtCommit), "03"),
+            (encoding(Stage::Done), "04"),
+            (encoding(WalkClient::Fetch), "00"),
+            (encoding(WalkClient::Rob(5)), "01 0500000000000000"),
+            (encoding(WalkPending::Issue), "00"),
+            (encoding(WalkPending::Token(6)), "01 0600000000000000"),
+            (encoding(WalkPending::ReadyAt(7)), "02 0700000000000000"),
+            (encoding(WalkResult::Ok), "00"),
+            (
+                encoding(WalkResult::Fault(Exception::LoadPageFault)),
+                "01 0d",
+            ),
+            (encoding(FetchState::Idle), "00"),
+            (encoding(FetchState::WaitWalk), "01"),
+            (
+                encoding(FetchState::TlbDelay {
+                    ready_at: 1,
+                    paddr: 2,
+                    region_ok: true,
+                }),
+                "02 0100000000000000 0200000000000000 01",
+            ),
+            (
+                encoding(FetchState::WaitICache { token: 3, paddr: 4 }),
+                "03 0300000000000000 0400000000000000",
+            ),
+            (
+                encoding(FetchState::Deliver {
+                    ready_at: 5,
+                    paddr: 6,
+                }),
+                "04 0500000000000000 0600000000000000",
+            ),
+            (encoding(FetchState::Stalled), "05"),
+            (encoding(PurgePhase::Idle), "00"),
+            (encoding(PurgePhase::DrainMem), "01"),
+            (
+                encoding(PurgePhase::Flushing { until: 8 }),
+                "02 0800000000000000",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, hex(want), "{want}");
+        }
     }
 }

@@ -92,10 +92,17 @@ impl Journal {
 mod tests {
     use super::*;
 
+    /// A path in a directory of its own; tests run in parallel, so each
+    /// removes its own directory with [`clean`].
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mi6-grid-journal-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("mi6-grid-journal-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn clean(path: &Path) {
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -115,7 +122,7 @@ mod tests {
         j.append("{\"a\":3}").unwrap();
         let (_, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay.lines.len(), 3);
-        std::fs::remove_file(&path).unwrap();
+        clean(&path);
     }
 
     #[test]
@@ -134,6 +141,6 @@ mod tests {
             vec!["{\"a\":1}", "{\"a\":2}", "{\"a\":3}"],
             "append after torn tail must not glue onto the fragment"
         );
-        std::fs::remove_file(&path).unwrap();
+        clean(&path);
     }
 }

@@ -26,26 +26,7 @@ impl SnapState for Reg {
     }
 }
 
-impl SnapState for PrivLevel {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            PrivLevel::User => 0,
-            PrivLevel::Supervisor => 1,
-            PrivLevel::Machine => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(PrivLevel::User),
-            1 => Ok(PrivLevel::Supervisor),
-            2 => Ok(PrivLevel::Machine),
-            other => Err(SnapError::BadValue {
-                what: format!("privilege level {other}"),
-            }),
-        }
-    }
-}
+mi6_snapshot::snap_enum! { PrivLevel { 0 => User, 1 => Supervisor, 2 => Machine } }
 
 impl SnapState for Exception {
     fn save(&self, w: &mut SnapWriter) {
@@ -60,26 +41,7 @@ impl SnapState for Exception {
     }
 }
 
-impl SnapState for AccessKind {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            AccessKind::Fetch => 0,
-            AccessKind::Load => 1,
-            AccessKind::Store => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(AccessKind::Fetch),
-            1 => Ok(AccessKind::Load),
-            2 => Ok(AccessKind::Store),
-            other => Err(SnapError::BadValue {
-                what: format!("access kind {other}"),
-            }),
-        }
-    }
-}
+mi6_snapshot::snap_enum! { AccessKind { 0 => Fetch, 1 => Load, 2 => Store } }
 
 impl SnapState for Inst {
     fn save(&self, w: &mut SnapWriter) {
@@ -138,13 +100,15 @@ mod tests {
     use super::*;
     use mi6_snapshot::{SnapReader, SnapWriter};
 
-    fn round_trip<T: SnapState + PartialEq + std::fmt::Debug>(v: T) {
+    /// `v`'s bytes, checked to decode back to `v`.
+    fn round_trip<T: SnapState + PartialEq + std::fmt::Debug>(v: T) -> Vec<u8> {
         let mut w = SnapWriter::new();
         v.save(&mut w);
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(T::load(&mut r).unwrap(), v);
         r.expect_end().unwrap();
+        bytes
     }
 
     #[test]
@@ -156,6 +120,23 @@ mod tests {
         round_trip(Inst::sd(Reg::A0, Reg::SP, -16));
         round_trip(PhysAddr::new(0x8000_1234));
         round_trip(PageTableEntry::leaf(0x42, true, false, false, true));
+    }
+
+    /// Every variant of each tagged enum keeps its pinned bytes; a
+    /// renumbered `snap_enum!` table would still round-trip.
+    #[test]
+    fn enum_variants_keep_their_bytes() {
+        let cases = [
+            (round_trip(PrivLevel::User), [0]),
+            (round_trip(PrivLevel::Supervisor), [1]),
+            (round_trip(PrivLevel::Machine), [2]),
+            (round_trip(AccessKind::Fetch), [0]),
+            (round_trip(AccessKind::Load), [1]),
+            (round_trip(AccessKind::Store), [2]),
+        ];
+        for (i, (got, want)) in cases.into_iter().enumerate() {
+            assert_eq!(got, want, "case {i}");
+        }
     }
 
     #[test]

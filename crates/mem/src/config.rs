@@ -313,97 +313,21 @@ impl MemConfig {
 
 // ---------------------------------------------------------------- snapshot
 
-use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
-
 mi6_snapshot::snap_struct! { L1Config { size_bytes, ways, mshrs, hit_latency } }
 
-impl SnapState for LlcIndexing {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            LlcIndexing::Base => w.u8(0),
-            LlcIndexing::Partitioned { region_bits } => {
-                w.u8(1);
-                w.u32(region_bits);
-            }
-        }
-    }
+mi6_snapshot::snap_enum! { LlcIndexing { 0 => Base, 1 => Partitioned { region_bits } } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(LlcIndexing::Base),
-            1 => Ok(LlcIndexing::Partitioned {
-                region_bits: r.u32()?,
-            }),
-            other => Err(SnapError::BadValue {
-                what: format!("LlcIndexing tag {other}"),
-            }),
-        }
-    }
+mi6_snapshot::snap_enum! {
+    MshrOrg { 0 => Shared { total }, 1 => Banked { total, banks }, 2 => PerCore { per_core } }
 }
 
-impl SnapState for MshrOrg {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            MshrOrg::Shared { total } => {
-                w.u8(0);
-                w.usize(total);
-            }
-            MshrOrg::Banked { total, banks } => {
-                w.u8(1);
-                w.usize(total);
-                w.usize(banks);
-            }
-            MshrOrg::PerCore { per_core } => {
-                w.u8(2);
-                w.usize(per_core);
-            }
-        }
-    }
+mi6_snapshot::snap_enum! { LlcArbitration { 0 => Base, 1 => RoundRobin } }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(MshrOrg::Shared { total: r.usize()? }),
-            1 => Ok(MshrOrg::Banked {
-                total: r.usize()?,
-                banks: r.usize()?,
-            }),
-            2 => Ok(MshrOrg::PerCore {
-                per_core: r.usize()?,
-            }),
-            other => Err(SnapError::BadValue {
-                what: format!("MshrOrg tag {other}"),
-            }),
-        }
-    }
-}
+mi6_snapshot::snap_enum! { UqOrg { 0 => Shared, 1 => PerCore } }
 
-macro_rules! two_way_enum_snap {
-    ($ty:ident, $a:ident, $b:ident) => {
-        impl SnapState for $ty {
-            fn save(&self, w: &mut SnapWriter) {
-                w.u8(match self {
-                    $ty::$a => 0,
-                    $ty::$b => 1,
-                });
-            }
+mi6_snapshot::snap_enum! { DowngradeOrg { 0 => Single, 1 => PerPartition } }
 
-            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                match r.u8()? {
-                    0 => Ok($ty::$a),
-                    1 => Ok($ty::$b),
-                    other => Err(SnapError::BadValue {
-                        what: format!(concat!(stringify!($ty), " tag {}"), other),
-                    }),
-                }
-            }
-        }
-    };
-}
-
-two_way_enum_snap!(LlcArbitration, Base, RoundRobin);
-two_way_enum_snap!(UqOrg, Shared, PerCore);
-two_way_enum_snap!(DowngradeOrg, Single, PerPartition);
-two_way_enum_snap!(DqOrg, TwoCycleDequeue, RetryBit);
+mi6_snapshot::snap_enum! { DqOrg { 0 => TwoCycleDequeue, 1 => RetryBit } }
 
 mi6_snapshot::snap_struct! {
     LlcConfig {

@@ -15,7 +15,7 @@
 use super::{Llc, LlcLine, MshrEntry, MshrState, PipeMsg};
 use crate::config::{LlcConfig, LINE_SHIFT};
 use crate::llc::CoreLink;
-use crate::msi::DowngradeResp;
+use crate::msi::ChildId;
 use mi6_isa::PhysAddr;
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 use std::collections::VecDeque;
@@ -25,60 +25,20 @@ use super::LlcStats;
 
 mi6_snapshot::snap_struct! { LlcLine { tag, valid, dirty, sharers, child_m, locked_by } }
 
-impl SnapState for MshrState {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            MshrState::WaitPipe => w.u8(0),
-            MshrState::InPipe => w.u8(1),
-            MshrState::Blocked(on) => {
-                w.u8(2);
-                w.u32(on);
-            }
-            MshrState::WaitDowngrade => w.u8(3),
-            MshrState::InDq => w.u8(4),
-            MshrState::WaitDram => w.u8(5),
-            MshrState::FillReady => w.u8(6),
-            MshrState::InUq => w.u8(7),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => MshrState::WaitPipe,
-            1 => MshrState::InPipe,
-            2 => MshrState::Blocked(r.u32()?),
-            3 => MshrState::WaitDowngrade,
-            4 => MshrState::InDq,
-            5 => MshrState::WaitDram,
-            6 => MshrState::FillReady,
-            7 => MshrState::InUq,
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("MSHR state tag {other}"),
-                })
-            }
-        })
+mi6_snapshot::snap_enum! {
+    MshrState {
+        0 => WaitPipe,
+        1 => InPipe,
+        2 => Blocked(on),
+        3 => WaitDowngrade,
+        4 => InDq,
+        5 => WaitDram,
+        6 => FillReady,
+        7 => InUq,
     }
 }
 
-impl SnapState for AfterDowngrade {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            AfterDowngrade::Grant => 0,
-            AfterDowngrade::Replace => 1,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(AfterDowngrade::Grant),
-            1 => Ok(AfterDowngrade::Replace),
-            other => Err(SnapError::BadValue {
-                what: format!("AfterDowngrade tag {other}"),
-            }),
-        }
-    }
-}
+mi6_snapshot::snap_enum! { AfterDowngrade { 0 => Grant, 1 => Replace } }
 
 // Observability-only serve-level bit: not serialized (a restored fill
 // reads as an LLC serve; not worth a format bump).
@@ -89,37 +49,7 @@ mi6_snapshot::snap_struct! {
     } runtime { from_dram: false }
 }
 
-impl SnapState for PipeMsg {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            PipeMsg::Req(i) => {
-                w.u8(0);
-                w.u32(i);
-            }
-            PipeMsg::Reentry(i) => {
-                w.u8(1);
-                w.u32(i);
-            }
-            PipeMsg::DownResp(resp) => {
-                w.u8(2);
-                resp.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => PipeMsg::Req(r.u32()?),
-            1 => PipeMsg::Reentry(r.u32()?),
-            2 => PipeMsg::DownResp(DowngradeResp::load(r)?),
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("PipeMsg tag {other}"),
-                })
-            }
-        })
-    }
-}
+mi6_snapshot::snap_enum! { PipeMsg { 0 => Req(i), 1 => Reentry(i), 2 => DownResp(resp) } }
 
 mi6_snapshot::snap_struct! {
     LlcStats {
@@ -203,6 +133,25 @@ impl Llc {
         let dq_port_busy_until = r.u64()?;
         let downgrade_scan = r.usize()?;
         let stats = LlcStats::load(r)?;
+        // The links and the arbiter index cores by the L1s named here.
+        let l1s = 2 * self.cores;
+        let foreign = |mask: u32| mask.checked_shr(l1s as u32).unwrap_or(0) != 0;
+        let unknown = |child: ChildId| child.index() >= l1s;
+        let bad_mshr = |m: &MshrEntry| {
+            unknown(m.child)
+                || foreign(m.pending_downgrades)
+                || m.to_downgrade.iter().any(|&(child, ..)| unknown(child))
+        };
+        if lines.iter().flatten().any(|l| foreign(l.sharers))
+            || mshrs.iter().flatten().any(bad_mshr)
+        {
+            return Err(SnapError::BadValue {
+                what: format!(
+                    "LLC names an L1 that this {}-core machine lacks",
+                    self.cores
+                ),
+            });
+        }
 
         if snap_cfg == self.cfg {
             if mshrs.len() != self.mshrs.len() || uqs.len() != self.uqs.len() {

@@ -2,7 +2,7 @@
 
 use super::*;
 use crate::config::{DramConfig, LINK_CAPACITY};
-use mi6_snapshot::{SnapReader, SnapWriter};
+use mi6_snapshot::{SnapReader, SnapState, SnapWriter};
 
 const LAT: u32 = 0; // zero link latency makes cycle math exact
 
@@ -378,4 +378,105 @@ fn snapshot_elides_only_blank_lines() {
     let back = decode_llc(&bytes);
     assert_eq!(back.sets, rig.llc.sets);
     assert_eq!(encode_llc(&back), bytes);
+}
+
+/// `v`'s bytes, checked to decode to a value that re-encodes to them.
+fn encoding<T: SnapState>(v: T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    v.save(&mut w);
+    let bytes = w.finish();
+    let mut r = SnapReader::new(&bytes);
+    let mut again = SnapWriter::new();
+    T::load(&mut r).unwrap().save(&mut again);
+    r.expect_end().unwrap();
+    assert_eq!(again.finish(), bytes);
+    bytes
+}
+
+/// Every variant of each tagged enum in this crate keeps its pinned
+/// bytes; field values are distinct, so a reordered `snap_enum!` row
+/// shows here although it would still round-trip.
+#[test]
+fn enum_variants_keep_their_bytes() {
+    let (a, b) = (PhysAddr::new(0x40), PhysAddr::new(0x80));
+    let cases = [
+        (encoding(LlcIndexing::Base), "00"),
+        (
+            encoding(LlcIndexing::Partitioned { region_bits: 6 }),
+            "01 06000000",
+        ),
+        (
+            encoding(MshrOrg::Shared { total: 16 }),
+            "00 1000000000000000",
+        ),
+        (
+            encoding(MshrOrg::Banked {
+                total: 16,
+                banks: 4,
+            }),
+            "01 1000000000000000 0400000000000000",
+        ),
+        (
+            encoding(MshrOrg::PerCore { per_core: 8 }),
+            "02 0800000000000000",
+        ),
+        (encoding(LlcArbitration::Base), "00"),
+        (encoding(LlcArbitration::RoundRobin), "01"),
+        (encoding(UqOrg::Shared), "00"),
+        (encoding(UqOrg::PerCore), "01"),
+        (encoding(DowngradeOrg::Single), "00"),
+        (encoding(DowngradeOrg::PerPartition), "01"),
+        (encoding(DqOrg::TwoCycleDequeue), "00"),
+        (encoding(DqOrg::RetryBit), "01"),
+        (encoding(MsiState::I), "00"),
+        (encoding(MsiState::S), "01"),
+        (encoding(MsiState::M), "02"),
+        (
+            encoding(ParentMsg::UpgradeResp {
+                line: a,
+                granted: MsiState::M,
+                from_dram: true,
+            }),
+            "00 4000000000000000 02",
+        ),
+        (
+            encoding(ParentMsg::DowngradeReq {
+                line: b,
+                to: MsiState::S,
+            }),
+            "01 8000000000000000 01",
+        ),
+        (encoding(MshrState::WaitPipe), "00"),
+        (encoding(MshrState::InPipe), "01"),
+        (encoding(MshrState::Blocked(5)), "02 05000000"),
+        (encoding(MshrState::WaitDowngrade), "03"),
+        (encoding(MshrState::InDq), "04"),
+        (encoding(MshrState::WaitDram), "05"),
+        (encoding(MshrState::FillReady), "06"),
+        (encoding(MshrState::InUq), "07"),
+        (encoding(AfterDowngrade::Grant), "00"),
+        (encoding(AfterDowngrade::Replace), "01"),
+        (encoding(PipeMsg::Req(3)), "00 03000000"),
+        (encoding(PipeMsg::Reentry(4)), "01 04000000"),
+        (
+            encoding(PipeMsg::DownResp(DowngradeResp {
+                child: ChildId(1),
+                line: a,
+                now: MsiState::I,
+                dirty: true,
+            })),
+            "02 0100 4000000000000000 00 01",
+        ),
+    ];
+    for (got, want) in cases {
+        assert_eq!(got, hex(want), "{want}");
+    }
+}
+
+fn hex(s: &str) -> Vec<u8> {
+    let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+        .collect()
 }

@@ -152,26 +152,7 @@ impl ParentMsg {
 
 use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
 
-impl SnapState for MsiState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            MsiState::I => 0,
-            MsiState::S => 1,
-            MsiState::M => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(MsiState::I),
-            1 => Ok(MsiState::S),
-            2 => Ok(MsiState::M),
-            other => Err(SnapError::BadValue {
-                what: format!("MSI state {other}"),
-            }),
-        }
-    }
-}
+mi6_snapshot::snap_enum! { MsiState { 0 => I, 1 => S, 2 => M } }
 
 impl SnapState for ChildId {
     fn save(&self, w: &mut SnapWriter) {
@@ -187,37 +168,12 @@ mi6_snapshot::snap_struct! { UpgradeReq { child, line, want } }
 
 mi6_snapshot::snap_struct! { DowngradeResp { child, line, now, dirty } }
 
-impl SnapState for ParentMsg {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            ParentMsg::UpgradeResp { line, granted, .. } => {
-                w.u8(0);
-                line.save(w);
-                granted.save(w);
-            }
-            ParentMsg::DowngradeReq { line, to } => {
-                w.u8(1);
-                line.save(w);
-                to.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(ParentMsg::UpgradeResp {
-                line: PhysAddr::load(r)?,
-                granted: MsiState::load(r)?,
-                from_dram: false,
-            }),
-            1 => Ok(ParentMsg::DowngradeReq {
-                line: PhysAddr::load(r)?,
-                to: MsiState::load(r)?,
-            }),
-            other => Err(SnapError::BadValue {
-                what: format!("ParentMsg tag {other}"),
-            }),
-        }
+// `from_dram` is observability-only: a restored response reads as an
+// LLC serve.
+mi6_snapshot::snap_enum! {
+    ParentMsg {
+        0 => UpgradeResp { line, granted } runtime { from_dram: false },
+        1 => DowngradeReq { line, to },
     }
 }
 

@@ -505,161 +505,3 @@ impl SecurityMonitor {
         true
     }
 }
-
-// ---------------------------------------------------------------- snapshot
-
-use mi6_snapshot::{SnapError, SnapReader, SnapState, SnapWriter};
-
-impl SnapState for EnclaveId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.0);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EnclaveId(r.u32()?))
-    }
-}
-
-impl SnapState for RegionOwner {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            RegionOwner::Monitor => w.u8(0),
-            RegionOwner::Os => w.u8(1),
-            RegionOwner::Free => w.u8(2),
-            RegionOwner::Enclave(id) => {
-                w.u8(3);
-                id.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => RegionOwner::Monitor,
-            1 => RegionOwner::Os,
-            2 => RegionOwner::Free,
-            3 => RegionOwner::Enclave(EnclaveId::load(r)?),
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("RegionOwner tag {other}"),
-                })
-            }
-        })
-    }
-}
-
-impl SnapState for EnclaveState {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            EnclaveState::Created => w.u8(0),
-            EnclaveState::Running { core } => {
-                w.u8(1);
-                w.usize(core);
-            }
-            EnclaveState::Stopped => w.u8(2),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => EnclaveState::Created,
-            1 => EnclaveState::Running { core: r.usize()? },
-            2 => EnclaveState::Stopped,
-            other => {
-                return Err(SnapError::BadValue {
-                    what: format!("EnclaveState tag {other}"),
-                })
-            }
-        })
-    }
-}
-
-impl SnapState for MailboxMsg {
-    fn save(&self, w: &mut SnapWriter) {
-        self.from.save(w);
-        w.bytes(&self.data);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MailboxMsg {
-            from: SnapState::load(r)?,
-            data: r.bytes(64)?.try_into().expect("fixed-size mailbox"),
-        })
-    }
-}
-
-impl SnapState for Enclave {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.regions.0);
-        self.state.save(w);
-        w.bytes(&self.measurement.0);
-        w.u64(self.entry);
-        w.u64(self.sp);
-        w.u64(self.satp);
-        self.mailbox.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Enclave {
-            regions: RegionBitvec(r.u64()?),
-            state: EnclaveState::load(r)?,
-            measurement: Digest(r.bytes(32)?.try_into().expect("fixed-size digest")),
-            entry: r.u64()?,
-            sp: r.u64()?,
-            satp: r.u64()?,
-            mailbox: SnapState::load(r)?,
-        })
-    }
-}
-
-impl SecurityMonitor {
-    /// Serializes the monitor's bookkeeping: region ownership, every
-    /// enclave's metadata and mailbox, the OS mailbox, and the ID counter.
-    /// Enclaves are written in ascending ID order so identical states
-    /// always produce identical bytes.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag(b"MONI");
-        self.owners.save(w);
-        let mut ids: Vec<EnclaveId> = self.enclaves.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            id.save(w);
-            self.enclaves[&id].save(w);
-        }
-        self.os_mailbox.save(w);
-        w.u32(self.next_id);
-    }
-
-    /// Restores state saved by [`SecurityMonitor::save_state`]. The
-    /// monitor must have been created against a machine with the same
-    /// DRAM-region layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on corrupt input or a region-count mismatch.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"MONI")?;
-        let owners: Vec<RegionOwner> = SnapState::load(r)?;
-        if owners.len() != self.owners.len() {
-            return Err(SnapError::ConfigMismatch {
-                what: format!(
-                    "monitor covers {} DRAM regions, snapshot has {}",
-                    self.owners.len(),
-                    owners.len()
-                ),
-            });
-        }
-        self.owners = owners;
-        let n = r.len()?;
-        let mut enclaves = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = EnclaveId::load(r)?;
-            enclaves.insert(id, Enclave::load(r)?);
-        }
-        self.enclaves = enclaves;
-        self.os_mailbox = SnapState::load(r)?;
-        self.next_id = r.u32()?;
-        Ok(())
-    }
-}

@@ -2,11 +2,12 @@
 //!
 //! A versioned, dependency-free binary format for machine checkpoints.
 //! Every stateful component of the simulator (pipeline structures, caches,
-//! queues, DRAM, the monitor) serializes itself through [`SnapWriter`] and
-//! reconstructs itself through [`SnapReader`]; the [`SnapState`] trait is
-//! the per-type contract. All integers are little-endian; collections are
-//! length-prefixed with a `u64`; enums are a one-byte tag followed by the
-//! variant's fields.
+//! queues, DRAM, physical memory) serializes itself through [`SnapWriter`]
+//! and reconstructs itself through [`SnapReader`]; the [`SnapState`] trait
+//! is the per-type contract. All integers are little-endian; collections
+//! are length-prefixed with a `u64`; enums are a one-byte tag followed by
+//! the variant's fields. [`snap_struct!`] and [`snap_enum!`] state a
+//! record's field order and an enum's tag table once, for both halves.
 //!
 //! The codec is deliberately hand-rolled (no serde): the simulator is
 //! dependency-free by policy, and a checkpoint's byte layout is part of
@@ -334,7 +335,7 @@ impl<'a> SnapReader<'a> {
 /// containers (caches, the core) use inherent `save_state`/`restore_state`
 /// methods instead, restoring in place into an already-configured
 /// structure; this trait is for plain values. Plain records implement it
-/// through [`snap_struct!`].
+/// through [`snap_struct!`] and tagged enums through [`snap_enum!`].
 pub trait SnapState: Sized {
     /// Appends this value's encoding to `w`.
     fn save(&self, w: &mut SnapWriter);
@@ -406,6 +407,90 @@ macro_rules! snap_struct {
                 ::core::result::Result::Ok(Self {
                     $($field: $crate::SnapState::load(r)?,)+
                     $($($rt: $val,)+)?
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`SnapState`] for an enum from one tag table.
+///
+/// Each row maps a one-byte tag to a variant and lists the variant's
+/// fields in wire order: `save` writes the tag and then those fields,
+/// and `load` reads the tag and rebuilds the variant from the fields
+/// read back in the same order. The table is the type's wire format,
+/// stated once. A variant the table leaves out does not compile, a
+/// repeated tag trips the `unreachable_patterns` lint, and an unknown
+/// tag decodes as [`SnapError::BadValue`] naming the type. A struct
+/// variant's optional `runtime { field: value }` arm names fields that
+/// are never serialized; a restore sets them to `value`.
+///
+/// ```
+/// use mi6_snapshot::{SnapReader, SnapState, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Slot {
+///     Free,
+///     Token(u64),
+///     Busy { until: u32, dirty: bool, seen_at: u64 },
+/// }
+/// mi6_snapshot::snap_enum! {
+///     Slot { 0 => Free, 1 => Token(t), 2 => Busy { until, dirty } runtime { seen_at: 0 } }
+/// }
+///
+/// let mut w = SnapWriter::new();
+/// Slot::Busy { until: 9, dirty: true, seen_at: 99 }.save(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes, [2, 9, 0, 0, 0, 1]);
+/// let back = Slot::load(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Slot::Busy { until: 9, dirty: true, seen_at: 0 });
+/// assert!(Slot::load(&mut SnapReader::new(&[3])).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ty {
+            $(
+                $tag:literal => $variant:ident
+                $(( $($tf:ident),+ $(,)? ))?
+                $({ $($sf:ident),+ $(,)? } $(runtime { $($rt:ident: $val:expr),+ $(,)? })?)?
+            ),+ $(,)?
+        }
+    ) => {
+        impl $crate::SnapState for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(
+                        Self::$variant
+                        $(( $($tf),+ ))?
+                        $({ $($sf,)+ $($($rt: _,)+)? })?
+                        => {
+                            w.u8($tag);
+                            $($($crate::SnapState::save($tf, w);)+)?
+                            $($($crate::SnapState::save($sf, w);)+)?
+                        }
+                    )+
+                }
+            }
+
+            fn load(
+                r: &mut $crate::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::SnapError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $(
+                        $tag => {
+                            $($(let $tf = $crate::SnapState::load(r)?;)+)?
+                            $($(let $sf = $crate::SnapState::load(r)?;)+)?
+                            Self::$variant
+                            $(( $($tf),+ ))?
+                            $({ $($sf,)+ $($($rt: $val,)+)? })?
+                        }
+                    )+
+                    other => {
+                        return ::core::result::Result::Err($crate::SnapError::BadValue {
+                            what: ::std::format!("{} tag {}", ::core::stringify!($ty), other),
+                        })
+                    }
                 })
             }
         }

@@ -175,6 +175,35 @@ fn quiesced_libquantum() -> Vec<u8> {
     m.snapshot()
 }
 
+/// The three restores every flipped snapshot goes through: strict, and
+/// forked into BASE and into F+P+M+A.
+fn restore_targets() -> [(&'static str, Machine, bool); 3] {
+    let fpma = SimBuilder::new(Variant::Fpma)
+        .timer_interval(50_000)
+        .build()
+        .unwrap();
+    [
+        ("strict restore", target(), true),
+        ("forked restore into BASE", target(), false),
+        ("forked restore into F+P+M+A", fpma, false),
+    ]
+}
+
+/// Restores `bytes` into `m`, catching a panic.
+fn restore_caught(
+    m: &mut Machine,
+    strict: bool,
+    bytes: &[u8],
+) -> std::thread::Result<Result<(), SnapError>> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if strict {
+            m.restore(bytes)
+        } else {
+            m.restore_forked(bytes)
+        }
+    }))
+}
+
 /// Restore code indexes by decoded values, so a flipped byte anywhere in
 /// the per-crate sections must come back as `Ok` or `Err`, never as a
 /// panic: in a strict restore, and in forked restores into BASE and into
@@ -182,30 +211,47 @@ fn quiesced_libquantum() -> Vec<u8> {
 #[test]
 fn byte_flips_are_errors_not_panics() {
     let snap = quiesced_libquantum();
-    let fpma = SimBuilder::new(Variant::Fpma)
-        .timer_interval(50_000)
-        .build()
-        .unwrap();
-    let mut targets = [
-        ("strict restore", target(), true),
-        ("forked restore into BASE", target(), false),
-        ("forked restore into F+P+M+A", fpma, false),
-    ];
+    let mut targets = restore_targets();
     let mut flips = 0;
     for at in (0..snap.len()).step_by(snap.len() / 1500) {
         let mut bad = snap.clone();
         bad[at] ^= 0xff;
         for (name, m, strict) in &mut targets {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if *strict {
-                    m.restore(&bad)
-                } else {
-                    m.restore_forked(&bad)
-                }
-            }));
+            let outcome = restore_caught(m, *strict, &bad);
             assert!(outcome.is_ok(), "{name}, byte {at} flipped: panicked");
         }
         flips += 1;
     }
     assert!(flips >= 1500, "{flips} flips");
+}
+
+/// A restore that returns `Ok` must leave a machine that runs, so the
+/// restore checks what the pipeline and the LLC index by: ROB sequence
+/// numbers strictly ascending and below the next one to rename, and every
+/// L1 named by the directory or an MSHR on a core the machine has. Each
+/// flip here broke one of those, restored `Ok` before the checks, and then
+/// panicked within 200,000 cycles.
+#[test]
+fn flips_that_would_panic_later_are_refused() {
+    let snap = quiesced_libquantum();
+    assert_eq!(
+        (snap.len(), fnv1a64(&snap)),
+        (129_975, 0xe2f7_efd1_cd3d_022c),
+        "the flipped offsets below assume these bytes"
+    );
+    let mut targets = restore_targets();
+    for at in [
+        15_050, 17_630, 18_748, 19_264, 55_728, 57_534, 57_792, 60_544, 61_920, 63_038, 66_478,
+        68_800, 69_918, 70_176, 72_928, 74_046,
+    ] {
+        let mut bad = snap.clone();
+        bad[at] ^= 0xff;
+        for (name, m, strict) in &mut targets {
+            let outcome = restore_caught(m, *strict, &bad);
+            assert!(
+                matches!(outcome, Ok(Err(_))),
+                "{name}, byte {at} flipped: {outcome:?}"
+            );
+        }
+    }
 }
