@@ -10,10 +10,11 @@ use mi6_mem::{DowngradeOrg, DqOrg, MemConfig, MshrOrg, UqOrg};
 use mi6_soc::SimBuilder;
 use mi6_workloads::{Workload, WorkloadParams};
 
-fn simulate(mem_cfg: MemConfig, label: &str) -> u64 {
+/// Runs the workload on BASE (the Figure-2 LLC) with `toggle` applied.
+fn simulate(label: &str, toggle: impl FnOnce(&mut MemConfig)) -> u64 {
     let mut machine = SimBuilder::base()
         .without_timer()
-        .mem_config(mem_cfg)
+        .tune_mem(toggle)
         .workload(
             0,
             Workload::Bzip2.build(&WorkloadParams::tiny().with_target_kinsts(20)),
@@ -25,44 +26,37 @@ fn simulate(mem_cfg: MemConfig, label: &str) -> u64 {
     stats.cycles
 }
 
-fn bench_ablation(name: &'static str, mem_cfg: MemConfig) {
+fn bench_ablation(name: &'static str, toggle: impl Fn(&mut MemConfig)) {
     bench_n(name, 3, || {
-        simulate(mem_cfg, name);
+        simulate(name, &toggle);
     });
 }
 
 fn main() {
-    let base = MemConfig::paper_base();
-    bench_ablation("llc baseline (fig2)", base);
+    bench_ablation("llc baseline (fig2)", |_| {});
 
     // Split UQ vs shared UQ (paper: zero overhead).
-    let mut split_uq = base;
-    split_uq.llc.uq = UqOrg::PerCore;
-    bench_ablation("llc split UQ", split_uq);
+    bench_ablation("llc split UQ", |m| m.llc.uq = UqOrg::PerCore);
 
     // Duplicated vs single Downgrade-L1 (paper: zero overhead).
-    let mut dup_dg = base;
-    dup_dg.llc.downgrade = DowngradeOrg::PerPartition;
-    dup_dg.llc.mshrs = MshrOrg::PerCore { per_core: 12 };
-    bench_ablation("llc duplicated downgrade", dup_dg);
+    bench_ablation("llc duplicated downgrade", |m| {
+        m.llc.downgrade = DowngradeOrg::PerPartition;
+        m.llc.mshrs = MshrOrg::PerCore { per_core: 12 };
+    });
 
     // DQ retry bit vs two-cycle dequeue (paper: negligible).
-    let mut retry = base;
-    retry.llc.dq = DqOrg::RetryBit;
-    bench_ablation("llc DQ retry bit", retry);
+    bench_ablation("llc DQ retry bit", |m| m.llc.dq = DqOrg::RetryBit);
 
     // Arbiter latency as a function of core count (paper Sec 5.4.4:
     // average extra latency is N/2 cycles).
     for n in [2u32, 4, 8] {
-        let mut arb = base;
-        arb.llc.pipeline_latency += n / 2;
         bench_ablation(
             match n {
                 2 => "llc arbiter 2 cores (+1 cycle)",
                 4 => "llc arbiter 4 cores (+2 cycles)",
                 _ => "llc arbiter 8 cores (+4 cycles)",
             },
-            arb,
+            move |m| m.llc.pipeline_latency += n / 2,
         );
     }
 }

@@ -12,9 +12,8 @@
 //! mi6-bench --kinsts 500         # longer runs (kilo-instructions)
 //! mi6-bench --kernel store-heavy # one kernel
 //! mi6-bench --reps 5             # best-of-5 wall-clock timing
-//! mi6-bench --json BENCH_hotloop.json   # also write machine-readable results
+//! mi6-bench --json BENCH_hotloop.json   # also write one JSON line per kernel
 //! mi6-bench --compare BENCH_hotloop.json # non-gating warn on regression
-//! mi6-bench --compare BENCH_hotloop.json --compare-threshold 10  # tighter gate
 //! mi6-bench --kernel mixed --trace pipeview.txt  # Konata/O3PipeView trace
 //! mi6-bench --profile            # per-stage lap breakdown (needs the
 //!                                # `lap-profile` feature compiled in)
@@ -26,7 +25,8 @@
 //! (EXPERIMENTS.md records the before/after of each optimisation, and CI
 //! runs this binary non-gating so the trajectory stays visible).
 
-use mi6_obs::json::JsonWriter;
+use mi6_bench::runner::write_cpi_tail;
+use mi6_obs::json::{parse_object, JsonValue, JsonWriter};
 use mi6_soc::{SimBuilder, Variant};
 use mi6_workloads::{generate, BranchStyle, Profile, WorkloadParams};
 use std::process::exit;
@@ -108,21 +108,29 @@ fn kernels() -> Vec<(&'static str, Profile)> {
 fn usage() -> ! {
     eprintln!(
         "usage: mi6-bench [--kinsts N] [--reps N] [--kernel NAME]... [--json PATH] \
-         [--stacks PATH] [--profile] [--compare BASELINE [--compare-threshold PCT]] \
+         [--profile] [--compare BASELINE] \
          [--trace PATH [--trace-limit OPS]]"
     );
     exit(2);
 }
 
-/// Pulls `"cycles_per_sec":<f64>` for one kernel out of a baseline JSON
-/// written by `--json` (hand-rolled: the workspace carries no JSON
-/// dependency, and the shape is our own append-only format).
-fn baseline_cps(doc: &str, kernel: &str) -> Option<f64> {
-    let at = doc.find(&format!("\"name\":\"{kernel}\""))?;
-    let rest = &doc[at..];
-    let rest = &rest[rest.find("\"cycles_per_sec\":")? + "\"cycles_per_sec\":".len()..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
+/// How far, in percent, a kernel's cycles/sec may fall below the
+/// `--compare` baseline before a warning.
+const COMPARE_THRESHOLD: f64 = 20.0;
+
+/// Each kernel's `cycles_per_sec` in a baseline written by `--json`.
+fn baseline_cps(doc: &str) -> Result<Vec<(String, f64)>, String> {
+    doc.lines()
+        .enumerate()
+        .map(|(n, line)| {
+            let obj = parse_object(line).map_err(|e| format!("line {}: {e}", n + 1))?;
+            let name = obj.get("name").and_then(JsonValue::as_str);
+            match (name, obj.get("cycles_per_sec").and_then(JsonValue::as_f64)) {
+                (Some(name), Some(cps)) => Ok((name.to_string(), cps)),
+                _ => Err(format!("line {}: needs `name` and `cycles_per_sec`", n + 1)),
+            }
+        })
+        .collect()
 }
 
 fn main() {
@@ -131,9 +139,7 @@ fn main() {
     let mut reps: u32 = 3;
     let mut only: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
-    let mut stacks_path: Option<String> = None;
     let mut compare_path: Option<String> = None;
-    let mut compare_threshold: f64 = 20.0;
     let mut trace_path: Option<String> = None;
     let mut trace_limit: u64 = 0;
     let mut profile = false;
@@ -145,15 +151,7 @@ fn main() {
             "--reps" => reps = val().parse().unwrap_or_else(|_| usage()),
             "--kernel" => only.push(val()),
             "--json" => json_path = Some(val()),
-            "--stacks" => stacks_path = Some(val()),
             "--compare" => compare_path = Some(val()),
-            "--compare-threshold" => {
-                compare_threshold = val().parse().unwrap_or_else(|_| usage());
-                if !(compare_threshold > 0.0 && compare_threshold < 100.0) {
-                    eprintln!("mi6-bench: --compare-threshold wants a percentage in (0, 100)");
-                    exit(2);
-                }
-            }
             "--trace" => trace_path = Some(val()),
             "--trace-limit" => trace_limit = val().parse().unwrap_or_else(|_| usage()),
             "--profile" => profile = true,
@@ -316,58 +314,39 @@ fn main() {
             }
         }
     }
-    if let Some(path) = stacks_path {
-        // One CPI-stack artifact row per kernel (the best rep's stack —
-        // every rep simulates the identical run, so they all agree).
+    if let Some(path) = json_path {
+        // Machine-readable companion to the table, one flat line per
+        // kernel with the CPI-stack tail of the grid's `--json` lines
+        // (the best rep's stack: every rep simulates the identical run).
+        // CI uploads it as the perf-trajectory artifact, so keep the shape
+        // append-only (the `lap_<stage>` keys only appear under --profile).
         let doc: String = rows
             .iter()
             .map(|r| {
-                mi6_obs::stacks_row(r.name, "BASE", 0, r.cpi.cycles, r.width, &r.cpi.slots) + "\n"
-            })
-            .collect();
-        if let Err(e) = mi6_obs::check_stacks_str(&doc) {
-            eprintln!("mi6-bench: refusing to write invalid stacks artifact: {e}");
-            exit(1);
-        }
-        std::fs::write(&path, doc).unwrap_or_else(|e| {
-            eprintln!("mi6-bench: cannot write {path}: {e}");
-            exit(1);
-        });
-        eprintln!("mi6-bench: wrote {path}");
-    }
-    if let Some(path) = json_path {
-        // Machine-readable companion to the table: CI uploads this as the
-        // perf-trajectory artifact, so keep the shape append-only (the
-        // `lap_ns` object only appears under --profile).
-        let kernels: Vec<String> = rows
-            .iter()
-            .map(|r| {
                 let mut k = JsonWriter::default();
-                k.str("name", r.name)
+                k.str("bench", "hotloop")
+                    .u64("kinsts", kinsts)
+                    .u64("reps", reps.into())
+                    .str("variant", "BASE")
+                    .str("name", r.name)
                     .u64("cycles", r.cycles)
                     .u64("instructions", r.insts)
                     .f64("wall_s", r.secs)
                     .f64("cycles_per_sec", r.cycles as f64 / r.secs)
-                    .f64("ns_per_cycle", r.secs * 1e9 / r.cycles as f64)
-                    .u64("cycles_ticked", r.ticked)
-                    .u64("cycles_skipped", r.skipped);
+                    .f64("ns_per_cycle", r.secs * 1e9 / r.cycles as f64);
+                write_cpi_tail(&mut k, &r.cpi, r.width, r.ticked, r.skipped);
                 if profile {
-                    let mut laps = JsonWriter::default();
                     for (stage, ns) in mi6_core::LAP_STAGES.iter().zip(r.lap.nanos) {
-                        laps.u64(stage, ns);
+                        k.u64(&format!("lap_{stage}"), ns);
                     }
-                    k.raw("lap_ns", &laps.finish());
                 }
-                k.finish()
+                k.finish() + "\n"
             })
             .collect();
-        let mut doc = JsonWriter::default();
-        doc.str("bench", "hotloop")
-            .u64("kinsts", kinsts)
-            .u64("reps", reps.into())
-            .str("variant", "BASE")
-            .raw("kernels", &format!("[{}]", kernels.join(",")));
-        let doc = doc.finish() + "\n";
+        if let Err(e) = mi6_obs::check_stacks_str(&doc) {
+            eprintln!("mi6-bench: refusing to write invalid --json lines: {e}");
+            exit(1);
+        }
         std::fs::write(&path, doc).unwrap_or_else(|e| {
             eprintln!("mi6-bench: cannot write {path}: {e}");
             exit(1);
@@ -377,25 +356,28 @@ fn main() {
     if let Some(path) = compare_path {
         // Non-gating regression check against a committed baseline (the
         // repo-root BENCH_hotloop.json): warn when a kernel's cycles/sec
-        // falls more than `--compare-threshold` percent (default 20) below
-        // it, but always exit 0 — shared CI runners are far too noisy to
-        // gate on, the warning keeps the trajectory visible. The
-        // `::warning::` lines surface as GitHub Actions annotations.
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("mi6-bench: cannot read baseline {path}: {e}");
-            exit(1);
-        });
-        let floor = 1.0 - compare_threshold / 100.0;
+        // falls more than `COMPARE_THRESHOLD` percent below it, but always
+        // exit 0 — shared CI runners are far too noisy to gate on, the
+        // warning keeps the trajectory visible. The `::warning::` lines
+        // surface as GitHub Actions annotations.
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| baseline_cps(&doc))
+            .unwrap_or_else(|e| {
+                eprintln!("mi6-bench: cannot read baseline {path}: {e}");
+                exit(1);
+            });
+        let floor = 1.0 - COMPARE_THRESHOLD / 100.0;
         for r in &rows {
             let (name, fresh) = (r.name, r.cycles as f64 / r.secs);
-            let Some(base) = baseline_cps(&doc, name) else {
+            let Some(&(_, base)) = baseline.iter().find(|(k, _)| k == name) else {
                 eprintln!("mi6-bench: baseline {path} has no kernel `{name}`; skipping");
                 continue;
             };
             if fresh < base * floor {
                 println!(
                     "::warning::mi6-bench {name}: {:.2} Mcycles/s is {:.0}% below the \
-                     committed baseline ({:.2} Mcycles/s in {path}, threshold {compare_threshold}%)",
+                     committed baseline ({:.2} Mcycles/s in {path}, threshold {COMPARE_THRESHOLD}%)",
                     fresh / 1e6,
                     (1.0 - fresh / base) * 100.0,
                     base / 1e6,
@@ -403,7 +385,7 @@ fn main() {
             } else {
                 eprintln!(
                     "mi6-bench: {name} {:.2} Mcycles/s vs baseline {:.2} — ok \
-                     (threshold {compare_threshold}%)",
+                     (threshold {COMPARE_THRESHOLD}%)",
                     fresh / 1e6,
                     base / 1e6
                 );

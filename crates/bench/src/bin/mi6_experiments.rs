@@ -40,8 +40,8 @@
 //! state across every variant; a `--warmup` longer than a workload's run
 //! is a usage error, exit 2), `--scenario enclave-attacker`
 //! (the fixed two-core enclave-vs-attacker grid; of the run flags it
-//! takes only `--kinsts`, `--timer`, `--threads`, `--json`, `--stacks`
-//! and `--metrics-every` + `--out`), `--metrics-every N` +
+//! takes only `--kinsts`, `--timer`, `--threads`, `--json` and
+//! `--metrics-every` + `--out`), `--metrics-every N` +
 //! `--out DIR` (sample the microarchitectural metrics registry every N
 //! cycles into one JSONL artifact per grid/scenario point under DIR —
 //! journal lines record the artifact path, and the scenario prints a
@@ -88,14 +88,13 @@ struct Cli {
     out: Option<PathBuf>,
     deadline_secs: Option<u64>,
     metrics_every: u64,
-    stacks: Option<PathBuf>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: mi6-experiments (--figure N)... | --all | --scenario enclave-attacker \
          [--kinsts N] [--timer N] [--threads N] [--seeds N] [--workload NAME]... \
-         [--json PATH|-] [--stacks PATH] [--metrics-every CYCLES --out DIR] \
+         [--json PATH|-] [--metrics-every CYCLES --out DIR] \
          [--warmup CYCLES [--checkpoint-dir DIR] [--fork-base]] \
          [--shard i/N --out DIR] [--deadline SECS]\n\
          \x20      mi6-experiments merge --out DIR ((--figure N)... | --all) \
@@ -108,9 +107,8 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     // Merge re-derives the expected grid from flags; anything that only
     // shapes *how* a run executes would be silently meaningless there,
     // so reject it loudly rather than ignore it.
-    const RUN_ONLY: [&str; 10] = [
+    const RUN_ONLY: [&str; 9] = [
         "--json",
-        "--stacks",
         "--threads",
         "--deadline",
         "--shard",
@@ -135,7 +133,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
         out: None,
         deadline_secs: None,
         metrics_every: 0,
-        stacks: None,
     };
     // The scenario is a fixed grid with no warm-up phase: these flags
     // would be accepted and silently do nothing there.
@@ -244,10 +241,6 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                 cli.json = Some(value(args, i, "--json"));
                 i += 1;
             }
-            "--stacks" => {
-                cli.stacks = Some(PathBuf::from(value(args, i, "--stacks")));
-                i += 1;
-            }
             "--shard" => {
                 let v = value(args, i, "--shard");
                 cli.shard = Some(v.parse().unwrap_or_else(|e| {
@@ -326,18 +319,14 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     cli
 }
 
-/// Writes a CPI-stacks JSONL artifact, refusing to emit anything the
-/// schema checker would reject (the same gate CI applies downstream).
-fn write_stacks(path: &PathBuf, doc: &str) {
-    if let Err(e) = mi6_obs::check_stacks_str(doc) {
-        eprintln!("refusing to write invalid stacks artifact: {e}");
+/// Writes one `--json` line, refusing one whose CPI stack the schema
+/// checker would reject (the same check CI runs on the stream).
+fn write_json_line(out: &mut dyn Write, line: &str) {
+    if let Err(e) = mi6_obs::check_stacks_str(line) {
+        eprintln!("refusing to write an invalid --json line: {e}");
         exit(1);
     }
-    std::fs::write(path, doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        exit(1);
-    });
-    eprintln!("mi6-experiments: wrote {}", path.display());
+    writeln!(out, "{line}").expect("json write");
 }
 
 /// Opens the `--json` sink: stdout for `-`, else the file in append mode.
@@ -440,10 +429,6 @@ fn run_main(args: &[String]) {
         // Always-on CPI accounting: show where the victim's cycles went
         // per variant and colocation mode.
         print!("{}", scenario::render_enclave_cpi(&points));
-        if let Some(path) = &cli.stacks {
-            let doc: String = points.iter().map(|p| p.stacks_row() + "\n").collect();
-            write_stacks(path, &doc);
-        }
         // With metrics on, follow the summary table with the time-series
         // view the artifacts exist for: per-bucket MSHR occupancy and
         // arbiter grants for victim vs attacker.
@@ -452,7 +437,7 @@ fn run_main(args: &[String]) {
         }
         if let Some(mut out) = cli.json.as_deref().map(open_json) {
             for p in &points {
-                writeln!(out, "{}", p.to_json()).expect("json write");
+                write_json_line(&mut out, &p.to_json());
             }
             out.flush().expect("json flush");
         }
@@ -552,19 +537,8 @@ fn run_main(args: &[String]) {
         }),
         pool: None, // a private pool for this invocation
     };
-    let mut stack_rows: Vec<String> = Vec::new();
     let outcome = mi6_bench::run_grid_scheduled(&points, &schedule, |res| {
         done += 1;
-        if cli.stacks.is_some() {
-            stack_rows.push(mi6_obs::stacks_row(
-                res.record.name,
-                res.point.variant.name(),
-                0,
-                res.record.cpi.cycles,
-                res.record.commit_width,
-                &res.record.cpi.slots,
-            ));
-        }
         eprintln!(
             "  [{done}/{total}] {} on {}: {} cycles ({} ms, worker {})",
             res.record.name, res.point.variant, res.record.cycles, res.wall_ms, res.worker,
@@ -576,7 +550,7 @@ fn run_main(args: &[String]) {
             });
         }
         if let Some(out) = json.as_mut() {
-            writeln!(out, "{}", res.to_json()).expect("json write");
+            write_json_line(out, &res.to_json());
         }
     });
     if let Some(e) = &outcome.warm_error {
@@ -602,15 +576,6 @@ fn run_main(args: &[String]) {
             "  {} interrupted point(s) recorded partial progress",
             outcome.partials.len()
         );
-    }
-    if let Some(path) = &cli.stacks {
-        // Completed points only; a deadline-cancelled point has no stack.
-        let doc: String = stack_rows.iter().map(|r| r.clone() + "\n").collect();
-        if doc.is_empty() {
-            eprintln!("no completed points; skipping stacks artifact");
-        } else {
-            write_stacks(path, &doc);
-        }
     }
     let wall = t0.elapsed();
     // Per-point elapsed times double-count when threads time-slice a

@@ -15,7 +15,7 @@ use crate::{
     mean, render_metric_figure, render_overhead_figure, HarnessOpts, RunRecord, PAPER_FIG10,
     PAPER_FIG11, PAPER_FIG12, PAPER_FIG13, PAPER_FIG5, PAPER_FIG8,
 };
-use mi6_core::CoreConfig;
+use mi6_core::{CoreConfig, CpiCategory, CpiStack};
 use mi6_mem::MemConfig;
 use mi6_soc::Variant;
 use mi6_workloads::Workload;
@@ -198,7 +198,6 @@ pub fn render_figure(figure: u32, results: &[PointResult]) -> String {
 /// Rows all-zero across every variant are dropped; records without a
 /// stack (pre-CPI-stack journals) are skipped.
 pub fn render_cpi_decomposition(results: &[PointResult]) -> String {
-    use mi6_core::CpiCategory;
     // (variant, workload-name) → record, first occurrence wins (the same
     // unique point can back several figures).
     let mut by_workload: Vec<(&str, Vec<(Variant, &RunRecord)>)> = Vec::new();
@@ -233,35 +232,22 @@ pub fn render_cpi_decomposition(results: &[PointResult]) -> String {
     )
     .unwrap();
     for (name, per) in &by_workload {
-        let cpi_of = |r: &RunRecord, cat: CpiCategory| {
-            r.cpi.get(cat) as f64 / (r.commit_width * r.instructions) as f64
-        };
         writeln!(out, "\n--- {name} ---").unwrap();
-        write!(out, "{:<18}", "category").unwrap();
         let cols: Vec<(Variant, &RunRecord)> = variants
             .iter()
             .filter_map(|v| per.iter().find(|(pv, _)| pv == v).copied())
             .collect();
-        for (v, _) in &cols {
-            write!(out, " {:>12}", v.name()).unwrap();
-        }
-        writeln!(out).unwrap();
-        for cat in CpiCategory::ALL {
-            if cols.iter().all(|(_, r)| r.cpi.get(cat) == 0) {
-                continue;
-            }
-            write!(out, "{:<18}", cat.name()).unwrap();
-            for (_, r) in &cols {
-                write!(out, " {:>12.4}", cpi_of(r, cat)).unwrap();
-            }
-            writeln!(out).unwrap();
-        }
-        write!(out, "{:<18}", "total CPI").unwrap();
-        for (_, r) in &cols {
-            let total: f64 = CpiCategory::ALL.iter().map(|&c| cpi_of(r, c)).sum();
-            write!(out, " {:>12.4}", total).unwrap();
-        }
-        writeln!(out).unwrap();
+        let table: Vec<_> = cols
+            .iter()
+            .map(|(v, r)| {
+                (
+                    v.name().to_string(),
+                    &r.cpi,
+                    r.commit_width * r.instructions,
+                )
+            })
+            .collect();
+        write_cpi_rows(&mut out, 12, &table);
         // The overhead line ties the stack back to the runtime figures.
         if let Some((_, base)) = cols.iter().find(|(v, _)| *v == Variant::Base) {
             write!(out, "{:<18}", "overhead vs BASE").unwrap();
@@ -273,6 +259,35 @@ pub fn render_cpi_decomposition(results: &[PointResult]) -> String {
         }
     }
     out
+}
+
+/// Writes the rows of a CPI table: a header naming each column, one row
+/// per category that some column charged, and the total. A column is its
+/// header, its stack and the stack's slots per instruction
+/// (`commit_width × instructions`), right-aligned in `width` characters.
+pub(crate) fn write_cpi_rows(out: &mut String, width: usize, cols: &[(String, &CpiStack, u64)]) {
+    let cpi_of = |cpi: &CpiStack, per: u64, cat: CpiCategory| cpi.get(cat) as f64 / per as f64;
+    write!(out, "{:<18}", "category").unwrap();
+    for (header, _, _) in cols {
+        write!(out, " {header:>width$}").unwrap();
+    }
+    writeln!(out).unwrap();
+    for cat in CpiCategory::ALL {
+        if cols.iter().all(|(_, cpi, _)| cpi.get(cat) == 0) {
+            continue;
+        }
+        write!(out, "{:<18}", cat.name()).unwrap();
+        for &(_, cpi, per) in cols {
+            write!(out, " {:>width$.4}", cpi_of(cpi, per, cat)).unwrap();
+        }
+        writeln!(out).unwrap();
+    }
+    write!(out, "{:<18}", "total CPI").unwrap();
+    for &(_, cpi, per) in cols {
+        let total: f64 = CpiCategory::ALL.iter().map(|&c| cpi_of(cpi, per, c)).sum();
+        write!(out, " {total:>width$.4}").unwrap();
+    }
+    writeln!(out).unwrap();
 }
 
 /// Element-wise mean of one grid point's records across seeds (used to
@@ -290,27 +305,15 @@ fn mean_record(records: &[&RunRecord]) -> RunRecord {
         llc_mpki: avg(&|r| r.llc_mpki),
         flush_stall_cycles: avg_u64(&|r| r.flush_stall_cycles),
         traps: avg_u64(&|r| r.traps),
-        cpi: {
-            // Slot-wise mean keeps the categories comparable across
-            // seeds; the sum invariant only holds exactly when the
-            // rounding happens to cancel, so downstream checks apply to
-            // raw per-run stacks, never to seed means.
-            let mut slots = [0u64; mi6_core::CPI_CATEGORIES];
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = avg_u64(&|r| r.cpi.slots[i]);
-            }
-            mi6_core::CpiStack::from_raw(
-                avg_u64(&|r| r.cpi.cycles),
-                slots,
-                [
-                    avg_u64(&|r| r.cpi.rename_rob_full),
-                    avg_u64(&|r| r.cpi.rename_iq_full),
-                    avg_u64(&|r| r.cpi.rename_lq_full),
-                    avg_u64(&|r| r.cpi.rename_sq_full),
-                    avg_u64(&|r| r.cpi.commit_sb_full),
-                ],
-            )
-        },
+        // Slot-wise mean keeps the categories comparable across seeds;
+        // the sum invariant only holds exactly when the rounding happens
+        // to cancel, so downstream checks apply to raw per-run stacks,
+        // never to seed means.
+        cpi: CpiStack::from_raw(
+            avg_u64(&|r| r.cpi.cycles),
+            std::array::from_fn(|i| avg_u64(&|r| r.cpi.slots[i])),
+            std::array::from_fn(|i| avg_u64(&|r| r.cpi.pressure()[i])),
+        ),
         commit_width: records[0].commit_width,
         cycles_ticked: avg_u64(&|r| r.cycles_ticked),
         cycles_skipped: avg_u64(&|r| r.cycles_skipped),

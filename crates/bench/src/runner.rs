@@ -214,11 +214,12 @@ pub fn is_partial_line(line: &str) -> bool {
     parse_object(line).is_ok_and(|obj| obj.contains_key("partial"))
 }
 
-/// Writes the tail that grid-point and scenario lines share: the
-/// structural-pressure counters under their historical `stall_*` names,
-/// the ticked-vs-skipped cycle accounting, and the CPI stack (its own
-/// cycle counter, the commit width, one key per category).
-pub(crate) fn write_cpi_tail(
+/// Writes the tail that grid-point, scenario and `mi6-bench` lines share:
+/// the structural-pressure counters under their historical `stall_*`
+/// names, the ticked-vs-skipped cycle accounting, and the CPI stack (its
+/// own cycle counter, the commit width, one key per
+/// [`mi6_obs::CPI_KEYS`] entry), which `mi6-obs-check stacks` validates.
+pub fn write_cpi_tail(
     w: &mut JsonWriter,
     cpi: &CpiStack,
     commit_width: u64,

@@ -16,9 +16,10 @@
 //! per-core MSHRs, round-robin pipeline arbitration) keeps the attacker
 //! out of the victim's sets and bounds the interference.
 
+use crate::figures::write_cpi_rows;
 use crate::runner::write_cpi_tail;
 use crate::{mean, HarnessOpts};
-use mi6_core::{CpiCategory, CpiStack};
+use mi6_core::CpiStack;
 use mi6_grid::{MachineDriver, SliceTask, Step, WorkerCtx};
 use mi6_isa::{Assembler, Inst, Reg};
 use mi6_obs::json::{parse_object, JsonValue, JsonWriter};
@@ -87,21 +88,6 @@ impl ScenarioPoint {
             w.str("metrics", &path.display().to_string());
         }
         w.finish()
-    }
-
-    /// This point's CPI-stack artifact row (the `--stacks` JSONL; see
-    /// [`mi6_obs::stacks_row`]). Solo/contended is encoded in the name so
-    /// the four scenario points stay distinguishable in one file.
-    pub fn stacks_row(&self) -> String {
-        let mode = if self.contended { "contended" } else { "solo" };
-        mi6_obs::stacks_row(
-            &format!("{VICTIM_NAME}-{mode}"),
-            self.variant.name(),
-            0,
-            self.victim_cpi.cycles,
-            self.victim_commit_width,
-            &self.victim_cpi.slots,
-        )
     }
 }
 
@@ -294,38 +280,20 @@ pub fn render_enclave_attacker(points: &[ScenarioPoint]) {
 /// the explicit `mshr_quota_deny` / `arb_deny` categories instead of
 /// unbounded memory time).
 pub fn render_enclave_cpi(points: &[ScenarioPoint]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let cpi_of = |p: &ScenarioPoint, cat: CpiCategory| {
-        p.victim_cpi.get(cat) as f64 / (p.victim_commit_width * p.victim_instructions) as f64
-    };
-    writeln!(
-        out,
-        "\n--- victim CPI stack (cycles per instruction, by blocking reason) ---"
-    )
-    .unwrap();
-    write!(out, "{:<18}", "category").unwrap();
-    for p in points {
-        let mode = if p.contended { "cont" } else { "solo" };
-        write!(out, " {:>15}", format!("{} {}", p.variant.name(), mode)).unwrap();
-    }
-    writeln!(out).unwrap();
-    for cat in CpiCategory::ALL {
-        if points.iter().all(|p| p.victim_cpi.get(cat) == 0) {
-            continue;
-        }
-        write!(out, "{:<18}", cat.name()).unwrap();
-        for p in points {
-            write!(out, " {:>15.4}", cpi_of(p, cat)).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    write!(out, "{:<18}", "total CPI").unwrap();
-    for p in points {
-        let total: f64 = CpiCategory::ALL.iter().map(|&c| cpi_of(p, c)).sum();
-        write!(out, " {:>15.4}", total).unwrap();
-    }
-    writeln!(out).unwrap();
+    let mut out =
+        "\n--- victim CPI stack (cycles per instruction, by blocking reason) ---\n".to_string();
+    let cols: Vec<_> = points
+        .iter()
+        .map(|p| {
+            let mode = if p.contended { "cont" } else { "solo" };
+            (
+                format!("{} {}", p.variant.name(), mode),
+                &p.victim_cpi,
+                p.victim_commit_width * p.victim_instructions,
+            )
+        })
+        .collect();
+    write_cpi_rows(&mut out, 15, &cols);
     out
 }
 
@@ -422,6 +390,7 @@ pub fn render_occupancy_timeline(points: &[ScenarioPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mi6_core::CpiCategory;
 
     #[test]
     fn scenario_runs_and_isolates() {
@@ -442,9 +411,9 @@ mod tests {
                 "{p:?}"
             );
         }
-        // The stack artifact rows pass the schema checker, and the
+        // The `--json` lines' stacks pass the schema checker, and the
         // decomposition table shows the MI6 stall mechanisms explicitly.
-        let doc: String = points.iter().map(|p| p.stacks_row() + "\n").collect();
+        let doc: String = points.iter().map(|p| p.to_json() + "\n").collect();
         let sum = mi6_obs::check_stacks_str(&doc).unwrap();
         assert_eq!(sum.rows, 4);
         let table = render_enclave_cpi(&points);

@@ -1,10 +1,13 @@
-//! End-to-end checks of the `mi6-experiments` binary.
+//! End-to-end checks of the `mi6-experiments` and `mi6-bench` binaries.
 //!
-//! Flags it would otherwise silently ignore, and a `--warmup` no
-//! workload can honour, exit 2 with one message instead of running. A
-//! shard journal stays readable whatever bytes its `--out` path holds.
+//! Flags `mi6-experiments` would otherwise silently ignore, and a
+//! `--warmup` no workload can honour, exit 2 with one message instead of
+//! running. A shard journal stays readable whatever bytes its `--out`
+//! path holds. Every `--json` line either binary writes carries a CPI
+//! stack that `mi6-obs-check stacks` accepts.
 
 use std::ffi::OsStr;
+use std::path::Path;
 use std::process::{Command, Output};
 
 /// Runs the CLI with `args`.
@@ -13,6 +16,14 @@ fn output(args: &[impl AsRef<OsStr>]) -> Output {
         .args(args)
         .output()
         .expect("mi6-experiments runs")
+}
+
+/// Runs `mi6-bench` with `args`.
+fn bench(args: &[impl AsRef<OsStr>]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mi6-bench"))
+        .args(args)
+        .output()
+        .expect("mi6-bench runs")
 }
 
 /// Runs the CLI with `args` and returns its exit code and stderr.
@@ -110,4 +121,51 @@ fn quotes_and_backslashes_in_out_keep_the_journal_readable() {
         "{tables}"
     );
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn every_json_stream_passes_the_stacks_checker() {
+    let dir = std::env::temp_dir().join(format!("mi6-cli-stacks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (grid, scenario, hotloop) = (path("grid.jsonl"), path("scn.jsonl"), path("hot.jsonl"));
+    let run_ok = |out: Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        stderr
+    };
+    let tiny = ["--kinsts", "10", "--timer", "0", "--json"];
+    run_ok(output(&[&["--figure", "6"][..], &tiny, &[&grid]].concat()));
+    run_ok(output(
+        &[&["--scenario", "enclave-attacker"][..], &tiny, &[&scenario]].concat(),
+    ));
+    let kernel = ["--kinsts", "10", "--reps", "1", "--kernel", "mixed"];
+    run_ok(bench(&[&kernel[..], &["--json", &hotloop]].concat()));
+    for (file, rows) in [(&grid, 11), (&scenario, 4), (&hotloop, 1)] {
+        let sum = mi6_obs::check_stacks_file(Path::new(file)).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(sum.rows, rows, "{file}");
+    }
+    // `--compare` reads the lines back and finds the kernel; the fresh
+    // run is either within the threshold or warns on stdout.
+    let out = bench(&[&kernel[..], &["--compare", &hotloop]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = run_ok(out);
+    assert!(
+        stderr.contains("mixed") && stderr.contains("vs baseline")
+            || stdout.contains("::warning::mi6-bench mixed"),
+        "{stdout}{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn retired_flags_are_unknown_arguments() {
+    let (code, stderr) = run(&["--figure", "6", "--stacks", "unused.jsonl"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument `--stacks`"), "{stderr}");
+    for flags in [["--stacks", "unused.jsonl"], ["--compare-threshold", "20"]] {
+        let out = bench(&flags);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+    }
 }

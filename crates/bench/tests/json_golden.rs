@@ -10,14 +10,14 @@
 use mi6_bench::scenario::ScenarioPoint;
 use mi6_bench::{GridPoint, HarnessOpts, PartialPoint, PointResult, RunRecord};
 use mi6_core::CpiStack;
-use mi6_obs::{stacks_row, MetricsSink};
+use mi6_obs::MetricsSink;
 use mi6_soc::Variant;
 use mi6_workloads::Workload;
 use std::path::PathBuf;
 
 /// The lines in fixture order: a grid point without and with a metrics
-/// artifact, a partial point, a scenario point, a metrics row with and
-/// without `core`, and a stacks row.
+/// artifact, a partial point, a scenario point, and a metrics row with
+/// and without `core`.
 fn lines() -> Vec<String> {
     // Slots 10, 20, …, 160 sum to 1360 = 680 cycles × width 2.
     let slots: [u64; 16] = std::array::from_fn(|i| (i as u64 + 1) * 10);
@@ -87,7 +87,6 @@ fn lines() -> Vec<String> {
         scenario.to_json(),
     ];
     lines.extend(rows.lines().map(str::to_string));
-    lines.push(stacks_row("bzip2", "BASE", 0, 680, 2, &slots));
     lines
 }
 

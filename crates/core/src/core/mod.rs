@@ -511,36 +511,6 @@ impl Core {
         self.begin_purge_sequence(now, Some((resume_pc, resume_priv)));
     }
 
-    /// A one-line diagnostic snapshot of pipeline state (for debugging
-    /// stuck simulations from tests and examples).
-    pub fn debug_state(&self) -> String {
-        let head = (!self.rob.is_empty()).then(|| {
-            format!(
-                "seq={} pc={:#x} `{}` stage={:?} mem={:?} exc={:?}",
-                self.rob.seq(0),
-                self.rob.pc(0),
-                self.rob.inst(0),
-                self.rob.stage(0),
-                self.rob.mem(0).map(|m| (m.phase, m.paddr)),
-                self.rob.exception(0)
-            )
-        });
-        format!(
-            "rob={} head=[{}] iq={:?} lq={} sq={} sb={} fetchq={} fetch={:?} purge={:?} walker_active={} walkq={}",
-            self.rob.len(),
-            head.unwrap_or_default(),
-            [self.iqs[0].len(), self.iqs[1].len(), self.iqs[2].len(), self.iqs[3].len()],
-            self.lq_used,
-            self.sq_used,
-            self.sb.len(),
-            self.fetch_queue.len(),
-            self.fetch_state,
-            self.purge,
-            self.walker_active.is_some(),
-            self.walker_queue.len(),
-        )
-    }
-
     /// Advances the core one cycle. Call before `mem.tick(now)`.
     pub fn tick(&mut self, now: u64, mem: &mut MemSystem) {
         if self.halted {

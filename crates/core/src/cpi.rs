@@ -15,8 +15,8 @@
 //! The accounting is always-on and timing-neutral: it only observes
 //! decisions the pipeline already made. The invariant
 //! `sum(slots) == cycles * commit_width` is enforced by tests on every
-//! bench kernel and checked on every emitted stacks artifact by
-//! `mi6-obs-check stacks`.
+//! bench kernel and checked on every `--json` line by `mi6-obs-check
+//! stacks`.
 //!
 //! Like `StallStats` before it (which this module absorbs — the
 //! rename/commit pressure counters live here now so there is a single
@@ -76,7 +76,7 @@ pub enum CpiCategory {
 }
 
 /// Number of categories (length of [`CpiStack::slots`]).
-pub const CPI_CATEGORIES: usize = 16;
+pub const CPI_CATEGORIES: usize = mi6_obs::CPI_KEYS.len();
 
 impl CpiCategory {
     /// Every category, in `slots` index order.
@@ -99,48 +99,15 @@ impl CpiCategory {
         CpiCategory::ArbDeny,
     ];
 
-    /// Stable snake_case name, used for JSON keys and metric names.
+    /// Stable snake_case name, for tables (`base`, ...).
     pub fn name(self) -> &'static str {
-        match self {
-            CpiCategory::Base => "base",
-            CpiCategory::Idle => "idle",
-            CpiCategory::Frontend => "frontend",
-            CpiCategory::Exec => "exec",
-            CpiCategory::Tlb => "tlb",
-            CpiCategory::MemL1 => "mem_l1",
-            CpiCategory::MemLlc => "mem_llc",
-            CpiCategory::MemDram => "mem_dram",
-            CpiCategory::MemPending => "mem_pending",
-            CpiCategory::SbFull => "sb_full",
-            CpiCategory::SquashMispredict => "squash_mispredict",
-            CpiCategory::SquashOrder => "squash_order",
-            CpiCategory::SquashTrap => "squash_trap",
-            CpiCategory::Flush => "flush",
-            CpiCategory::MshrQuotaDeny => "mshr_quota_deny",
-            CpiCategory::ArbDeny => "arb_deny",
-        }
+        &self.metric_name()["cpi_".len()..]
     }
 
-    /// The name prefixed for the metrics time series (`cpi_base`, ...).
+    /// The name prefixed with `cpi_`: the category's JSON key and metrics
+    /// counter name ([`mi6_obs::CPI_KEYS`]).
     pub fn metric_name(self) -> &'static str {
-        match self {
-            CpiCategory::Base => "cpi_base",
-            CpiCategory::Idle => "cpi_idle",
-            CpiCategory::Frontend => "cpi_frontend",
-            CpiCategory::Exec => "cpi_exec",
-            CpiCategory::Tlb => "cpi_tlb",
-            CpiCategory::MemL1 => "cpi_mem_l1",
-            CpiCategory::MemLlc => "cpi_mem_llc",
-            CpiCategory::MemDram => "cpi_mem_dram",
-            CpiCategory::MemPending => "cpi_mem_pending",
-            CpiCategory::SbFull => "cpi_sb_full",
-            CpiCategory::SquashMispredict => "cpi_squash_mispredict",
-            CpiCategory::SquashOrder => "cpi_squash_order",
-            CpiCategory::SquashTrap => "cpi_squash_trap",
-            CpiCategory::Flush => "cpi_flush",
-            CpiCategory::MshrQuotaDeny => "cpi_mshr_quota_deny",
-            CpiCategory::ArbDeny => "cpi_arb_deny",
-        }
+        mi6_obs::CPI_KEYS[self as usize]
     }
 }
 

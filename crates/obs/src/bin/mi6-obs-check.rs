@@ -1,6 +1,7 @@
 //! Schema checker for observability artifacts — the CI gate that proves
-//! an emitted trace really is Konata-loadable O3PipeView and a metrics
-//! file really is well-formed JSONL.
+//! an emitted trace really is Konata-loadable O3PipeView, a metrics file
+//! really is well-formed JSONL, and every line of a `--json` stream
+//! carries a CPI stack whose slots add up.
 //!
 //! ```text
 //! mi6-obs-check trace FILE...
@@ -55,10 +56,9 @@ fn main() -> ExitCode {
             }),
             "stacks" => mi6_obs::check_stacks_file(path).map(|s| {
                 format!(
-                    "{}: OK — {} rows, {} workloads, {} slots accounted",
+                    "{}: OK — {} rows, {} slots accounted",
                     path.display(),
                     s.rows,
-                    s.workloads.len(),
                     s.total_slots
                 )
             }),

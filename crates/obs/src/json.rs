@@ -7,8 +7,8 @@
 //! `{}`, the shortest form that round-trips, and `str::parse` is its exact
 //! inverse, so merged tables stay byte-identical to unsharded ones.
 //! Strings escape `"`, `\` and control characters, and the parser reads
-//! every JSON escape. [`JsonWriter::raw`] nests an already-encoded value;
-//! the parser rejects nesting.
+//! every JSON escape. Both sides are flat: the writer has no nested
+//! values and the parser rejects them.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -49,9 +49,8 @@ impl JsonWriter {
         self.raw(key, &value.to_string())
     }
 
-    /// Adds a member whose value is already encoded JSON (a nested
-    /// object or array).
-    pub fn raw(&mut self, key: &str, json: &str) -> &mut JsonWriter {
+    /// Adds a member whose value is already encoded JSON.
+    fn raw(&mut self, key: &str, json: &str) -> &mut JsonWriter {
         self.key(key).push_str(json);
         self
     }

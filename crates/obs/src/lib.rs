@@ -20,8 +20,9 @@
 //! prove the files are well-formed without pinning their exact contents.
 //!
 //! [`json`] is the one flat-JSON writer and reader of the workspace:
-//! metrics and stacks rows here, and the harness's shard journals and
-//! `--json` streams, all go through it.
+//! metrics rows here, and the harness's shard journals and `--json`
+//! streams, all go through it. [`CPI_KEYS`] names the CPI-stack
+//! categories those lines carry.
 //!
 //! Observability state is deliberately tolerant of snapshot restores: a
 //! restored machine has in-flight ops the tracer never saw, so every
@@ -477,7 +478,9 @@ pub fn check_metrics_str(s: &str) -> Result<MetricsSummary, String> {
     let mut names = std::collections::BTreeSet::new();
     let (mut rows, mut first, mut last_cycle) = (0u64, u64::MAX, 0u64);
     for (n, line) in s.lines().enumerate() {
-        let row = Row::parse(n, line, &["cycle", "core", "metric", "value"])?;
+        let row = Row::parse(n, line, |k| {
+            ["cycle", "core", "metric", "value"].contains(&k)
+        })?;
         let cycle = row.int("cycle")?;
         row.opt_int("core")?;
         row.int("value")?;
@@ -514,11 +517,11 @@ struct Row<'a> {
 }
 
 impl<'a> Row<'a> {
-    /// Parses line `n` (0-based), rejecting keys outside `allowed`.
-    fn parse(n: usize, line: &'a str, allowed: &[&str]) -> Result<Row<'a>, String> {
+    /// Parses line `n` (0-based), rejecting keys `known` refuses.
+    fn parse(n: usize, line: &'a str, known: impl Fn(&str) -> bool) -> Result<Row<'a>, String> {
         let err = |what: String| format!("line {}: {what} in `{line}`", n + 1);
         let fields = parse_object(line).map_err(|e| err(format!("not a flat JSON object: {e}")))?;
-        match fields.keys().find(|k| !allowed.contains(&k.as_str())) {
+        match fields.keys().find(|k| !known(k)) {
             Some(k) => Err(err(format!("unknown key `{k}`"))),
             None => Ok(Row {
                 line: (n + 1, line),
@@ -564,112 +567,83 @@ pub fn check_metrics_file(path: &std::path::Path) -> Result<MetricsSummary, Stri
 
 // ----------------------------------------------------------- stacks checker
 
-/// The CPI-stack category names, in canonical order. This list is the
-/// artifact schema: every stacks row carries exactly these slot keys.
-/// It is duplicated from `mi6_core::CpiCategory` on purpose (this crate
-/// is dependency-free); a cross-crate test pins the two in sync.
-pub const STACK_CATEGORIES: [&str; 16] = [
-    "base",
-    "idle",
-    "frontend",
-    "exec",
-    "tlb",
-    "mem_l1",
-    "mem_llc",
-    "mem_dram",
-    "mem_pending",
-    "sb_full",
-    "squash_mispredict",
-    "squash_order",
-    "squash_trap",
-    "flush",
-    "mshr_quota_deny",
-    "arb_deny",
+/// The JSON keys of the 16 CPI-stack categories, in
+/// `mi6_core::CpiCategory` order: the one list of category names. A line
+/// that carries a stack (grid journal, `--json`, scenario and `mi6-bench`
+/// lines) holds one slot count per key next to `cpi_cycles` and
+/// `cpi_commit_width`, and the metrics stream uses the same names for
+/// its per-window counters.
+pub const CPI_KEYS: [&str; 16] = [
+    "cpi_base",
+    "cpi_idle",
+    "cpi_frontend",
+    "cpi_exec",
+    "cpi_tlb",
+    "cpi_mem_l1",
+    "cpi_mem_llc",
+    "cpi_mem_dram",
+    "cpi_mem_pending",
+    "cpi_sb_full",
+    "cpi_squash_mispredict",
+    "cpi_squash_order",
+    "cpi_squash_trap",
+    "cpi_flush",
+    "cpi_mshr_quota_deny",
+    "cpi_arb_deny",
 ];
-
-/// Formats one CPI-stack artifact row (JSONL). `slots` must follow
-/// [`STACK_CATEGORIES`] order; the emitter and [`check_stacks_str`] are
-/// the two halves of the format contract.
-///
-/// # Panics
-///
-/// Panics if `slots` is not exactly one value per category.
-pub fn stacks_row(
-    name: &str,
-    variant: &str,
-    core: usize,
-    cycles: u64,
-    commit_width: u64,
-    slots: &[u64],
-) -> String {
-    assert_eq!(slots.len(), STACK_CATEGORIES.len());
-    let mut row = JsonWriter::default();
-    row.str("name", name)
-        .str("variant", variant)
-        .u64("core", core as u64)
-        .u64("cycles", cycles)
-        .u64("commit_width", commit_width);
-    for (cat, &v) in STACK_CATEGORIES.iter().zip(slots) {
-        row.u64(cat, v);
-    }
-    row.finish()
-}
 
 /// Summary returned by a successful [`check_stacks_str`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StacksSummary {
     /// Total rows.
     pub rows: u64,
-    /// Distinct workload names seen.
-    pub workloads: Vec<String>,
     /// Total commit slots across all rows.
     pub total_slots: u64,
 }
 
-/// Validates a CPI-stacks JSONL artifact: every line is one flat object
-/// with string `name`/`variant`, integer `core`/`cycles`/`commit_width`
-/// (width >= 1), exactly one integer slot count per [`STACK_CATEGORIES`]
-/// entry, and the sum invariant `sum(slots) == cycles * commit_width`.
+/// Validates the CPI stack on every line of a JSONL stream: each line is
+/// one flat object with integer `cpi_cycles`, `cpi_commit_width` (>= 1)
+/// and one integer slot count per [`CPI_KEYS`] entry, no other `cpi_`
+/// key, and the sum invariant `sum(slots) == cpi_cycles *
+/// cpi_commit_width`, counts that overflow `u64` refused. The line's
+/// other keys are not checked.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn check_stacks_str(s: &str) -> Result<StacksSummary, String> {
-    let mut keys = vec!["name", "variant", "core", "cycles", "commit_width"];
-    keys.extend(STACK_CATEGORIES);
-    let mut workloads = std::collections::BTreeSet::new();
+    let known = |k: &str| {
+        !k.starts_with("cpi_")
+            || k == "cpi_cycles"
+            || k == "cpi_commit_width"
+            || CPI_KEYS.contains(&k)
+    };
     let (mut rows, mut total_slots) = (0u64, 0u64);
     for (n, line) in s.lines().enumerate() {
-        let row = Row::parse(n, line, &keys)?;
-        let name = row.name("name")?;
-        row.name("variant")?;
-        row.opt_int("core")?;
-        let (cycles, width) = (row.int("cycles")?, row.int("commit_width")?);
+        let row = Row::parse(n, line, known)?;
+        let (cycles, width) = (row.int("cpi_cycles")?, row.int("cpi_commit_width")?);
         if width == 0 {
-            return Err(row.err("commit_width must be >= 1"));
+            return Err(row.err("cpi_commit_width must be >= 1"));
         }
+        // Checked: a file can hold counts whose wrapped sum would match.
+        let overflow = || row.err("slot counts overflow u64");
         let mut sum = 0u64;
-        for cat in STACK_CATEGORIES {
-            sum += row.int(cat)?;
+        for key in CPI_KEYS {
+            sum = sum.checked_add(row.int(key)?).ok_or_else(overflow)?;
         }
-        if sum != cycles * width {
+        let expected = cycles.checked_mul(width).ok_or_else(overflow)?;
+        if sum != expected {
             return Err(row.err(&format!(
-                "sum invariant violated: slots sum to {sum}, expected cycles*width = {}",
-                cycles * width
+                "sum invariant violated: slots sum to {sum}, expected cycles*width = {expected}"
             )));
         }
-        workloads.insert(name.to_string());
-        total_slots += sum;
+        total_slots = total_slots.checked_add(sum).ok_or_else(overflow)?;
         rows += 1;
     }
     if rows == 0 {
         return Err("stacks file contains no rows".into());
     }
-    Ok(StacksSummary {
-        rows,
-        workloads: workloads.into_iter().collect(),
-        total_slots,
-    })
+    Ok(StacksSummary { rows, total_slots })
 }
 
 /// [`check_stacks_str`] over a file.
@@ -796,25 +770,28 @@ mod tests {
         assert!(check_trace_str(bad).is_err());
     }
 
+    /// A flat line with keys the stacks checker ignores around a CPI
+    /// stack whose `cpi_base` slot is `base` and every other slot 0.
+    fn stack_line(cycles: u64, width: u64, base: u64) -> String {
+        let mut w = JsonWriter::default();
+        w.str("workload", "gcc")
+            .f64("branch_mpki", 13.5)
+            .u64("cpi_cycles", cycles)
+            .u64("cpi_commit_width", width);
+        for (i, key) in CPI_KEYS.iter().enumerate() {
+            w.u64(key, if i == 0 { base } else { 0 });
+        }
+        w.bool("partial", false);
+        w.finish()
+    }
+
     #[test]
-    fn stacks_row_round_trips_through_checker() {
-        let mut slots = [0u64; 16];
-        slots[0] = 150; // base
-        slots[1] = 40; // idle
-        slots[7] = 10; // mem_dram
-        let row = stacks_row("bzip2", "BASE", 0, 100, 2, &slots);
-        let mut out = row.clone();
-        out.push('\n');
-        slots[0] = 90;
-        slots[1] = 110;
-        slots[7] = 0;
-        out.push_str(&stacks_row("mcf", "FPMA", 1, 100, 2, &slots));
-        let sum = check_stacks_str(&out).unwrap();
+    fn stacks_checker_reads_the_tail_of_any_line() {
+        let doc = format!("{}\n{}\n", stack_line(100, 2, 200), stack_line(50, 4, 200));
         assert_eq!(
-            sum,
+            check_stacks_str(&doc).unwrap(),
             StacksSummary {
                 rows: 2,
-                workloads: vec!["bzip2".into(), "mcf".into()],
                 total_slots: 400,
             }
         );
@@ -822,22 +799,25 @@ mod tests {
 
     #[test]
     fn stacks_checker_rejects_bad_rows() {
-        let mut slots = [0u64; 16];
-        slots[0] = 20;
-        let good = stacks_row("k", "BASE", 0, 10, 2, &slots);
+        let good = stack_line(10, 2, 20);
         assert!(check_stacks_str(&good).is_ok());
-        // Sum invariant broken.
-        slots[0] = 19;
-        let bad = stacks_row("k", "BASE", 0, 10, 2, &slots);
-        assert!(check_stacks_str(&bad).is_err());
-        // Empty file, missing category, unknown key, zero width.
-        assert!(check_stacks_str("").is_err());
-        let missing = good.replace(",\"arb_deny\":0", "");
-        assert!(check_stacks_str(&missing).is_err());
-        let unknown = good.replace("\"arb_deny\"", "\"mystery\"");
-        assert!(check_stacks_str(&unknown).is_err());
-        slots[0] = 0;
-        let zero_w = stacks_row("k", "BASE", 0, 10, 0, &slots);
-        assert!(check_stacks_str(&zero_w).is_err());
+        let refused = |line: &str, why: &str| {
+            let e = check_stacks_str(line).unwrap_err();
+            assert!(e.contains(why), "{e}");
+        };
+        refused("", "no rows");
+        refused(
+            &good.replace(",\"cpi_arb_deny\":0", ""),
+            "missing cpi_arb_deny",
+        );
+        refused(
+            &good.replace("\"partial\"", "\"cpi_mystery\""),
+            "unknown key `cpi_mystery`",
+        );
+        refused(&stack_line(10, 0, 0), "cpi_commit_width must be >= 1");
+        refused(&stack_line(10, 2, 19), "sum invariant violated");
+        // u64::MAX + 1 would wrap to 0 = 0 cycles × width 1.
+        let wraps = stack_line(0, 1, u64::MAX).replace("\"cpi_idle\":0", "\"cpi_idle\":1");
+        refused(&wraps, "slot counts overflow u64");
     }
 }

@@ -3,14 +3,19 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// A stacks artifact holding one row from `mi6_obs::stacks_row`, valid
-/// or with its sum invariant broken.
+/// A JSONL file holding one line with a CPI stack, valid or with its sum
+/// invariant broken.
 fn stacks_file(name: &str, valid: bool) -> PathBuf {
-    let mut slots = [0u64; 16];
-    slots[0] = if valid { 200 } else { 199 };
-    let row = mi6_obs::stacks_row("gcc", "BASE", 0, 100, 2, &slots);
+    let mut w = mi6_obs::json::JsonWriter::default();
+    w.str("workload", "gcc")
+        .u64("cpi_cycles", 100)
+        .u64("cpi_commit_width", 2);
+    let base = if valid { 200 } else { 199 };
+    for (i, key) in mi6_obs::CPI_KEYS.iter().enumerate() {
+        w.u64(key, if i == 0 { base } else { 0 });
+    }
     let path = std::env::temp_dir().join(format!("mi6-obs-check-{}-{name}", std::process::id()));
-    std::fs::write(&path, row + "\n").unwrap();
+    std::fs::write(&path, w.finish() + "\n").unwrap();
     path
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Everything that used to be scattered across `core::config`,
 //! `mem::config`, and `soc::variant` is assembled here: a builder owns the
-//! [`Variant`] selection, the core/L1/LLC/DRAM knobs, the supervisor timer
-//! interval, and workload placement, and produces a ready-to-run
+//! [`Variant`] selection, the memory (L1/LLC/DRAM) and security overrides,
+//! the supervisor timer interval, and workload placement, and produces a
+//! ready-to-run
 //! [`Machine`]. Examples, tests, and the experiment harness all construct
 //! machines through it; the per-crate config types are implementation
 //! details the builder composes.
@@ -24,7 +25,7 @@
 use crate::loader::{LoadError, Program};
 use crate::machine::{Machine, MachineConfig};
 use crate::variant::Variant;
-use mi6_core::{CoreConfig, SecurityConfig};
+use mi6_core::SecurityConfig;
 use mi6_mem::MemConfig;
 use std::fmt;
 use std::path::PathBuf;
@@ -73,7 +74,6 @@ pub struct SimBuilder {
     variant: Variant,
     cores: usize,
     timer_interval: u64,
-    core_cfg: Option<CoreConfig>,
     sec_cfg: Option<SecurityConfig>,
     mem_cfg: Option<MemConfig>,
     programs: Vec<(usize, Program)>,
@@ -92,7 +92,6 @@ impl SimBuilder {
             variant,
             cores: 1,
             timer_interval: DEFAULT_TIMER_INTERVAL,
-            core_cfg: None,
             sec_cfg: None,
             mem_cfg: None,
             programs: Vec::new(),
@@ -127,22 +126,9 @@ impl SimBuilder {
         self.timer_interval(0)
     }
 
-    /// Replaces the core structural configuration (default: the variant's
-    /// Figure-4 configuration).
-    pub fn core_config(mut self, cfg: CoreConfig) -> SimBuilder {
-        self.core_cfg = Some(cfg);
-        self
-    }
-
     /// Replaces the security toggles (default: the variant's).
     pub fn security_config(mut self, cfg: SecurityConfig) -> SimBuilder {
         self.sec_cfg = Some(cfg);
-        self
-    }
-
-    /// Replaces the whole memory configuration (default: the variant's).
-    pub fn mem_config(mut self, cfg: MemConfig) -> SimBuilder {
-        self.mem_cfg = Some(cfg);
         self
     }
 
@@ -156,14 +142,6 @@ impl SimBuilder {
             .unwrap_or_else(|| self.variant.mem_config(self.cores));
         f(&mut cfg);
         self.mem_cfg = Some(cfg);
-        self
-    }
-
-    /// Tweaks the core configuration in place.
-    pub fn tune_core(mut self, f: impl FnOnce(&mut CoreConfig)) -> SimBuilder {
-        let mut cfg = self.core_cfg.unwrap_or_else(|| self.variant.core_config());
-        f(&mut cfg);
-        self.core_cfg = Some(cfg);
         self
     }
 
@@ -234,11 +212,10 @@ impl SimBuilder {
         let mem_cfg = self
             .mem_cfg
             .unwrap_or_else(|| self.variant.mem_config(self.cores));
-        let core_cfg = self.core_cfg.unwrap_or_else(|| self.variant.core_config());
         let sec_cfg = self
             .sec_cfg
             .unwrap_or_else(|| self.variant.security_config());
-        let mut machine = Machine::assemble(cfg, core_cfg, sec_cfg, mem_cfg);
+        let mut machine = Machine::assemble(cfg, self.variant.core_config(), sec_cfg, mem_cfg);
         for (core, program) in &self.programs {
             machine.load_user_program(*core, program)?;
         }
@@ -294,17 +271,6 @@ mod tests {
             }
         );
         assert_eq!(llc.pipeline_latency, 16);
-    }
-
-    #[test]
-    fn tune_core_overrides_structure() {
-        let m = SimBuilder::base()
-            .tune_core(|c| c.rob_entries = 16)
-            .without_timer()
-            .build()
-            .unwrap();
-        assert_eq!(m.config().timer_interval, 0);
-        let _ = m;
     }
 
     #[test]

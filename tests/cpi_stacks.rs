@@ -5,12 +5,8 @@
 //! enclave machine. A leaked or double-charged slot anywhere in the
 //! commit/squash/purge/idle-skip paths breaks the equality, so this is
 //! the pin that keeps future pipeline work honest about attribution.
-//!
-//! The artifact side rides along: `mi6_obs::STACK_CATEGORIES` is a
-//! deliberate dependency-free duplicate of `mi6_core::CpiCategory`, and
-//! the cross-crate test here is what keeps the two in lockstep.
 
-use mi6::core::{CpiCategory, CpiStack, CPI_CATEGORIES};
+use mi6::core::{CpiCategory, CpiStack};
 use mi6::soc::{Machine, SimBuilder, Variant};
 use mi6::workloads::{generate, BranchStyle, Profile, WorkloadParams};
 
@@ -157,17 +153,4 @@ fn kernel_shapes_surface_their_expected_categories() {
         cpi.get(CpiCategory::Flush) > 0,
         "F+P+M+A run attributes no flush slots: {cpi:?}"
     );
-}
-
-#[test]
-fn obs_category_names_match_the_core_taxonomy() {
-    assert_eq!(mi6_obs::STACK_CATEGORIES.len(), CPI_CATEGORIES);
-    for (i, cat) in CpiCategory::ALL.into_iter().enumerate() {
-        assert_eq!(
-            mi6_obs::STACK_CATEGORIES[i],
-            cat.name(),
-            "category {i}: artifact schema diverged from the core taxonomy"
-        );
-        assert_eq!(cat.metric_name(), format!("cpi_{}", cat.name()));
-    }
 }

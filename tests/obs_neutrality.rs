@@ -112,11 +112,10 @@ fn tracing_and_metrics_do_not_perturb_golden_fingerprints() {
             );
         }
         // Every CPI-stack category streams as a per-window counter, under
-        // the same names the stacks artifact uses.
-        for cat in mi6_obs::STACK_CATEGORIES {
-            let metric = format!("cpi_{cat}");
+        // the same names the `--json` lines use.
+        for metric in mi6_obs::CPI_KEYS {
             assert!(
-                msum.metrics.contains(&metric),
+                msum.metrics.iter().any(|m| m == metric),
                 "{variant}: metric `{metric}` missing from {:?}",
                 msum.metrics
             );
