@@ -67,6 +67,7 @@ use mi6_bench::sharding::{load_shard_dir, merge_shards, open_shard_journal};
 use mi6_bench::{plan_grid, scenario, GridMetrics, GridSchedule, HarnessOpts, WarmFork, FIGURES};
 use mi6_grid::ShardSpec;
 use mi6_workloads::Workload;
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
@@ -361,29 +362,17 @@ fn merge_main(args: &[String]) {
         eprintln!("merge needs --out (the shard journal directory)");
         usage();
     };
-    let loaded = load_shard_dir(dir).unwrap_or_else(|e| {
+    let replay = load_shard_dir(dir).unwrap_or_else(|e| {
         eprintln!("cannot read shard dir {}: {e}", dir.display());
         exit(1);
     });
-    if loaded.files == 0 {
+    if replay.files == 0 {
         eprintln!("no *.jsonl shard files in {}", dir.display());
         exit(1);
     }
-    if loaded.skipped_lines > 0 {
-        eprintln!(
-            "warning: skipped {} unparseable journal line(s) (torn by a killed shard?)",
-            loaded.skipped_lines
-        );
-    }
-    if loaded.partial_lines > 0 {
-        eprintln!(
-            "{} partial-progress line(s) skipped (deadline-interrupted points; \
-             resume their shards to finish them)",
-            loaded.partial_lines
-        );
-    }
+    eprint!("{}", replay.report());
     let plan = plan_grid(&cli.figures, cli.opts, cli.seeds, &cli.workloads);
-    match merge_shards(&plan, &loaded) {
+    match merge_shards(&plan, &replay) {
         Err(err) => {
             eprintln!(
                 "cannot merge the requested grid:\n{err}\
@@ -395,7 +384,7 @@ fn merge_main(args: &[String]) {
         Ok((results, cov)) => {
             eprintln!(
                 "merge: {} file(s), {} point(s) covering the grid exactly{}",
-                loaded.files,
+                replay.files,
                 plan.points.len(),
                 if cov.extra.is_empty() {
                     String::new()
@@ -463,31 +452,16 @@ fn run_main(args: &[String]) {
         None => (plan.points.clone(), None),
         Some(spec) => {
             let dir = cli.out.as_ref().expect("validated in parse_args");
-            let sj = open_shard_journal(dir, spec).unwrap_or_else(|e| {
+            let (journal, replay) = open_shard_journal(dir, spec).unwrap_or_else(|e| {
                 eprintln!("cannot open shard journal in {}: {e}", dir.display());
                 exit(1);
             });
-            if sj.torn_tail {
-                eprintln!(
-                    "  journal had a torn trailing line (killed mid-write); recomputing that point"
-                );
-            }
-            if sj.bad_lines > 0 {
-                eprintln!(
-                    "  warning: {} unparseable journal line(s) ignored",
-                    sj.bad_lines
-                );
-            }
-            if sj.partial_lines > 0 {
-                eprintln!(
-                    "  {} partial-progress line(s) from an interrupted run; recomputing those points",
-                    sj.partial_lines
-                );
-            }
+            eprint!("{}", replay.report());
+            let done: BTreeSet<&str> = replay.results.iter().map(|(k, _)| k.as_str()).collect();
             let owned = plan.shard_points(spec);
             let todo: Vec<_> = owned
                 .iter()
-                .filter(|p| !sj.done.contains_key(&p.key()))
+                .filter(|p| !done.contains(p.key().as_str()))
                 .copied()
                 .collect();
             eprintln!(
@@ -497,7 +471,7 @@ fn run_main(args: &[String]) {
                 owned.len() - todo.len(),
                 todo.len(),
             );
-            (todo, Some(sj.journal))
+            (todo, Some(journal))
         }
     };
 

@@ -2,9 +2,8 @@
 //!
 //! The experiment harness behind the `mi6-experiments` CLI: a shared
 //! [`runner`] that fans the variant×workload grid out across OS threads,
-//! the [`figures`] definitions reproducing every evaluation figure of the
-//! paper (Section 7), and a dependency-free [`microbench`] harness for the
-//! component benches.
+//! and the [`figures`] definitions reproducing every evaluation figure of
+//! the paper (Section 7).
 //!
 //! Every figure runs the eleven SPEC-shaped workloads on the BASE
 //! processor and on the figure's variant, then prints the per-benchmark
@@ -24,7 +23,6 @@
 //! run (see [`sharding`] and `mi6-grid`).
 
 pub mod figures;
-pub mod microbench;
 pub mod runner;
 pub mod scenario;
 pub mod sharding;

@@ -599,11 +599,11 @@ impl SliceTask for PointTask<'_> {
                 warm: self.warm_tag.to_string(),
                 metrics: self.metrics.as_ref().map(|m| m.path.display().to_string()),
             }),
-            Err(RunError::Cancelled { at_cycle, partial }) => {
+            Err(RunError::Cancelled { at_cycle }) => {
                 self.partials.lock().unwrap().push(PartialPoint {
                     point: self.point,
                     cycles: at_cycle,
-                    instructions: partial.core[0].committed_instructions,
+                    instructions: machine.core(0).stats.committed_instructions,
                     wall_ms,
                     worker: ctx.worker,
                     warm: self.warm_tag.to_string(),

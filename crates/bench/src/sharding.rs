@@ -17,6 +17,7 @@
 use crate::figures::figure_points_for;
 use crate::runner::{GridPoint, PointResult};
 use crate::{mean_results, render_figure, render_seed_ci, HarnessOpts};
+use mi6_grid::journal::JournalReplay;
 use mi6_grid::{validate_coverage, Coverage, Journal, ShardSpec};
 use mi6_workloads::Workload;
 use std::collections::BTreeMap;
@@ -110,69 +111,73 @@ impl GridPlan {
     }
 }
 
-/// A shard journal opened for a run: the completed points replayed from
-/// disk plus the open append handle.
-#[derive(Debug)]
-pub struct ShardJournal {
-    /// The append handle.
-    pub journal: Journal,
-    /// Key → already-completed result, replayed from the journal.
-    pub done: BTreeMap<String, PointResult>,
-    /// Replayed lines that failed to parse (besides a torn tail these
-    /// indicate manual tampering; they are recomputed like missing ones).
-    pub bad_lines: usize,
-    /// Replayed `"partial":true` progress lines (a previous invocation
-    /// hit its deadline mid-point). Expected, not an error: the points
-    /// they describe are simply recomputed.
+/// Every line read back from shard journals, classified once for both
+/// resume ([`open_shard_journal`]) and merge ([`load_shard_dir`]).
+#[derive(Debug, Default)]
+pub struct Replay {
+    /// Every journaled result, with its key (duplicates kept — coverage
+    /// validation counts them).
+    pub results: Vec<(String, PointResult)>,
+    /// Journal files read.
+    pub files: usize,
+    /// Where each torn trailing line (a shard killed mid-write) is, as
+    /// `FILE:LINE`.
+    pub torn_tails: Vec<String>,
+    /// `"partial":true` lines (deadline-interrupted points).
     pub partial_lines: usize,
-    /// Whether a torn trailing line (mid-write kill) was dropped.
-    pub torn_tail: bool,
+    /// Complete lines that are neither results nor partial lines.
+    pub bad_lines: usize,
 }
 
-/// Opens (creating `dir` if needed) the journal for `spec` and replays
-/// completed points.
+impl Replay {
+    /// Classifies one journal's lines into the replay.
+    fn add(&mut self, path: &Path, journal: JournalReplay) {
+        self.files += 1;
+        for line in &journal.lines {
+            match PointResult::from_json(line) {
+                Ok(res) => self.results.push((res.point.key(), res)),
+                Err(_) if crate::is_partial_line(line) => self.partial_lines += 1,
+                Err(_) => self.bad_lines += 1,
+            }
+        }
+        if journal.torn_tail {
+            let line = journal.lines.len() + 1;
+            self.torn_tails.push(format!("{}:{line}", path.display()));
+        }
+    }
+
+    /// One note per skipped line or kind of line (empty when every line
+    /// was a result). Skipped points are recomputed when their shard
+    /// resumes.
+    pub fn report(&self) -> String {
+        let mut out = String::new();
+        for at in &self.torn_tails {
+            out += &format!("{at}: torn trailing line skipped (killed mid-write)\n");
+        }
+        if self.bad_lines > 0 {
+            out += &format!("{} unparseable journal line(s) skipped\n", self.bad_lines);
+        }
+        if self.partial_lines > 0 {
+            out += &format!("{} partial-progress line(s) skipped\n", self.partial_lines);
+        }
+        out
+    }
+}
+
+/// Opens (creating `dir` if needed) the journal for `spec` for appending,
+/// truncating a torn tail away, and replays its lines.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error if the directory or file cannot be
 /// created or read.
-pub fn open_shard_journal(dir: &Path, spec: ShardSpec) -> std::io::Result<ShardJournal> {
+pub fn open_shard_journal(dir: &Path, spec: ShardSpec) -> std::io::Result<(Journal, Replay)> {
     std::fs::create_dir_all(dir)?;
-    let (journal, replay) = Journal::open(dir.join(spec.file_name()))?;
-    let mut done = BTreeMap::new();
-    let mut bad_lines = 0usize;
-    let mut partial_lines = 0usize;
-    for line in &replay.lines {
-        match PointResult::from_json(line) {
-            Ok(res) => {
-                done.insert(res.point.key(), res);
-            }
-            Err(_) if crate::is_partial_line(line) => partial_lines += 1,
-            Err(_) => bad_lines += 1,
-        }
-    }
-    Ok(ShardJournal {
-        journal,
-        done,
-        bad_lines,
-        partial_lines,
-        torn_tail: replay.torn_tail,
-    })
-}
-
-/// Everything read back from a shard directory.
-#[derive(Debug, Default)]
-pub struct LoadedShards {
-    /// Every parseable journaled point, with its key (duplicates kept —
-    /// coverage validation counts them).
-    pub results: Vec<(String, PointResult)>,
-    /// Shard files read.
-    pub files: usize,
-    /// Lines skipped as unparseable (torn tails of killed shards).
-    pub skipped_lines: usize,
-    /// `"partial":true` progress lines skipped (deadline-interrupted
-    /// points awaiting recomputation; not counted toward coverage).
-    pub partial_lines: usize,
+    let path = dir.join(spec.file_name());
+    let (journal, lines) = Journal::open(&path)?;
+    let mut replay = Replay::default();
+    replay.add(&path, lines);
+    Ok((journal, replay))
 }
 
 /// Reads every `shard-*.jsonl` journal in `dir`. Only files with the
@@ -185,8 +190,7 @@ pub struct LoadedShards {
 ///
 /// Returns the underlying I/O error if the directory cannot be listed or
 /// a file cannot be read.
-pub fn load_shard_dir(dir: &Path) -> std::io::Result<LoadedShards> {
-    let mut loaded = LoadedShards::default();
+pub fn load_shard_dir(dir: &Path) -> std::io::Result<Replay> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -199,17 +203,11 @@ pub fn load_shard_dir(dir: &Path) -> std::io::Result<LoadedShards> {
         })
         .collect();
     paths.sort();
+    let mut replay = Replay::default();
     for path in paths {
-        loaded.files += 1;
-        for line in std::fs::read_to_string(&path)?.lines() {
-            match PointResult::from_json(line) {
-                Ok(res) => loaded.results.push((res.point.key(), res)),
-                Err(_) if crate::is_partial_line(line) => loaded.partial_lines += 1,
-                Err(_) => loaded.skipped_lines += 1,
-            }
-        }
+        replay.add(&path, Journal::read(&path)?);
     }
-    Ok(loaded)
+    Ok(replay)
 }
 
 /// Why a merge refused to combine shard files.
@@ -238,7 +236,7 @@ impl std::fmt::Display for MergeError {
     }
 }
 
-/// Merges loaded shard results against a plan: validates coverage
+/// Merges replayed shard results against a plan: validates coverage
 /// (missing or duplicated expected points are hard errors; extra points
 /// — e.g. merging one figure out of an `--all` shard directory — are
 /// ignored), rejects fork-base/non-fork-base mixes, and returns the
@@ -251,15 +249,15 @@ impl std::fmt::Display for MergeError {
 /// whose warm-up methodologies cannot be combined.
 pub fn merge_shards(
     plan: &GridPlan,
-    loaded: &LoadedShards,
+    replay: &Replay,
 ) -> Result<(Vec<PointResult>, Coverage), MergeError> {
     let expected: Vec<String> = plan.points.iter().map(|p| p.key()).collect();
     let coverage = validate_coverage(
         expected.iter().map(String::as_str),
-        loaded.results.iter().map(|(k, _)| k.as_str()),
+        replay.results.iter().map(|(k, _)| k.as_str()),
     )
     .map_err(MergeError::Coverage)?;
-    let by_key: BTreeMap<&str, &PointResult> = loaded
+    let by_key: BTreeMap<&str, &PointResult> = replay
         .results
         .iter()
         .map(|(k, r)| (k.as_str(), r))
@@ -330,6 +328,13 @@ mod tests {
         }
     }
 
+    fn replayed(results: Vec<(String, PointResult)>) -> Replay {
+        Replay {
+            results,
+            ..Replay::default()
+        }
+    }
+
     fn coverage_err(err: MergeError) -> Coverage {
         match err {
             MergeError::Coverage(cov) => cov,
@@ -346,34 +351,16 @@ mod tests {
             .map(|p| (p.key(), fake(p, "cold")))
             .collect();
         // Exact coverage merges.
-        let loaded = LoadedShards {
-            results: full.clone(),
-            files: 1,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let (merged, cov) = merge_shards(&plan, &loaded).unwrap();
+        let (merged, cov) = merge_shards(&plan, &replayed(full.clone())).unwrap();
         assert_eq!(merged.len(), plan.points.len());
         assert!(cov.extra.is_empty());
         // A missing point is a hard error.
-        let loaded = LoadedShards {
-            results: full[1..].to_vec(),
-            files: 1,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let err = coverage_err(merge_shards(&plan, &loaded).unwrap_err());
+        let err = coverage_err(merge_shards(&plan, &replayed(full[1..].to_vec())).unwrap_err());
         assert_eq!(err.missing, vec![full[0].0.clone()]);
         // A duplicated point is a hard error.
         let mut dup = full.clone();
         dup.push(full[3].clone());
-        let loaded = LoadedShards {
-            results: dup,
-            files: 2,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let err = coverage_err(merge_shards(&plan, &loaded).unwrap_err());
+        let err = coverage_err(merge_shards(&plan, &replayed(dup)).unwrap_err());
         assert_eq!(err.duplicate.len(), 1);
         assert_eq!(err.duplicate[0].0, full[3].0);
     }
@@ -390,13 +377,7 @@ mod tests {
                 (p.key(), fake(p, warm))
             })
             .collect();
-        let loaded = LoadedShards {
-            results: mixed,
-            files: 2,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let err = merge_shards(&plan, &loaded).unwrap_err();
+        let err = merge_shards(&plan, &replayed(mixed)).unwrap_err();
         assert!(
             matches!(&err, MergeError::MixedWarm(tags) if tags.len() == 2),
             "{err:?}"
@@ -411,26 +392,14 @@ mod tests {
                 (p.key(), fake(p, warm))
             })
             .collect();
-        let loaded = LoadedShards {
-            results: ok,
-            files: 2,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        assert!(merge_shards(&plan, &loaded).is_ok());
+        assert!(merge_shards(&plan, &replayed(ok)).is_ok());
         // ... and homogeneous fork-base shards also merge.
         let all_fb: Vec<(String, PointResult)> = plan
             .points
             .iter()
             .map(|p| (p.key(), fake(p, "forkbase:500000")))
             .collect();
-        let loaded = LoadedShards {
-            results: all_fb,
-            files: 2,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        assert!(merge_shards(&plan, &loaded).is_ok());
+        assert!(merge_shards(&plan, &replayed(all_fb)).is_ok());
     }
 
     #[test]
@@ -441,8 +410,8 @@ mod tests {
         let spec = ShardSpec::whole();
         // First open: empty journal; pretend we completed two points.
         {
-            let mut sj = open_shard_journal(&dir, spec).unwrap();
-            assert!(sj.done.is_empty());
+            let (mut journal, replay) = open_shard_journal(&dir, spec).unwrap();
+            assert!(replay.results.is_empty());
             for p in &plan.points[..2] {
                 let res = PointResult {
                     point: *p,
@@ -464,25 +433,69 @@ mod tests {
                     warm: "cold".to_string(),
                     metrics: None,
                 };
-                sj.journal.append(&res.to_json()).unwrap();
+                journal.append(&res.to_json()).unwrap();
             }
         }
         // Reopen: the two points replay and would be skipped.
-        let sj = open_shard_journal(&dir, spec).unwrap();
-        assert_eq!(sj.done.len(), 2);
-        assert!(!sj.torn_tail);
-        assert!(sj.done.contains_key(&plan.points[0].key()));
+        let (_, replay) = open_shard_journal(&dir, spec).unwrap();
+        let done: BTreeMap<&str, &PointResult> = replay
+            .results
+            .iter()
+            .map(|(k, r)| (k.as_str(), r))
+            .collect();
+        assert_eq!(done.len(), 2);
+        assert!(replay.torn_tails.is_empty());
+        assert!(done.contains_key(plan.points[0].key().as_str()));
         let todo: Vec<&GridPoint> = plan
             .points
             .iter()
-            .filter(|p| !sj.done.contains_key(&p.key()))
+            .filter(|p| !done.contains_key(p.key().as_str()))
             .collect();
         assert_eq!(todo.len(), plan.points.len() - 2);
         // The replayed result round-tripped exactly.
-        let r = &sj.done[&plan.points[0].key()];
+        let r = done[plan.points[0].key().as_str()];
         assert_eq!(r.record.cycles, 7);
         assert_eq!(r.record.llc_mpki, 0.25);
         assert_eq!(r.worker, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_counts_each_kind_of_journal_line() {
+        let dir = std::env::temp_dir().join(format!("mi6-shard-kinds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = plan_grid(&[6], tiny_opts(), 1, &Workload::ALL);
+        let partial = crate::PartialPoint {
+            point: plan.points[1],
+            cycles: 4_096,
+            instructions: 1_000,
+            wall_ms: 1,
+            worker: 0,
+            warm: "cold".to_string(),
+        };
+        let journal = dir.join(ShardSpec::whole().file_name());
+        let lines = [
+            fake(&plan.points[0], "cold").to_json(),
+            partial.to_json(),
+            "not a journal line".to_string(),
+        ];
+        let torn = "{\"variant\":\"FL";
+        std::fs::write(&journal, lines.join("\n") + "\n" + torn).unwrap();
+
+        let replay = load_shard_dir(&dir).unwrap();
+        assert_eq!(replay.files, 1);
+        assert_eq!(replay.results.len(), 1);
+        assert_eq!(replay.results[0].0, plan.points[0].key());
+        assert_eq!(replay.partial_lines, 1);
+        assert_eq!(replay.bad_lines, 1);
+        let torn_at = format!("{}:4", journal.display());
+        assert_eq!(replay.torn_tails, vec![torn_at.clone()]);
+        let report = replay.report();
+        assert_eq!(report.lines().count(), 3, "{report}");
+        assert!(report.starts_with(&torn_at), "{report}");
+        // Merge only reads: the torn fragment stays for the shard's resume.
+        assert!(std::fs::read_to_string(&journal).unwrap().ends_with(torn));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -491,17 +504,14 @@ mod tests {
         // Shards produced with --all, merged with just --figure 6.
         let all13 = plan_grid(&[6, 13], tiny_opts(), 1, &Workload::ALL);
         let just6 = plan_grid(&[6], tiny_opts(), 1, &Workload::ALL);
-        let loaded = LoadedShards {
-            results: all13
+        let replay = replayed(
+            all13
                 .points
                 .iter()
                 .map(|p| (p.key(), fake(p, "cold")))
                 .collect(),
-            files: 1,
-            skipped_lines: 0,
-            partial_lines: 0,
-        };
-        let (merged, cov) = merge_shards(&just6, &loaded).unwrap();
+        );
+        let (merged, cov) = merge_shards(&just6, &replay).unwrap();
         assert_eq!(merged.len(), just6.points.len());
         assert_eq!(cov.extra.len(), all13.points.len() - just6.points.len());
     }

@@ -6,7 +6,7 @@
 //! - killing a shard mid-run and restarting it must complete from the
 //!   journal without recomputing finished points.
 
-use mi6_bench::sharding::{load_shard_dir, merge_shards, open_shard_journal, MergeError};
+use mi6_bench::sharding::{load_shard_dir, merge_shards, open_shard_journal, MergeError, Replay};
 use mi6_bench::{
     plan_grid, run_grid_scheduled, GridPlan, GridPoint, GridSchedule, HarnessOpts, PointResult,
 };
@@ -32,6 +32,11 @@ fn run_grid(
         .collect()
 }
 
+/// Whether a journal replay holds `p`'s result (a resumed shard skips it).
+fn done(replay: &Replay, p: &GridPoint) -> bool {
+    replay.results.iter().any(|(k, _)| *k == p.key())
+}
+
 fn scratch_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mi6-shard-e2e-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -41,15 +46,15 @@ fn scratch_dir(label: &str) -> PathBuf {
 /// Runs one shard to completion, journaling every completed point —
 /// exactly what `mi6-experiments --shard i/N --out DIR` does.
 fn run_shard(plan: &GridPlan, dir: &Path, spec: ShardSpec) -> usize {
-    let mut sj = open_shard_journal(dir, spec).unwrap();
+    let (mut journal, replay) = open_shard_journal(dir, spec).unwrap();
     let todo: Vec<_> = plan
         .shard_points(spec)
         .into_iter()
-        .filter(|p| !sj.done.contains_key(&p.key()))
+        .filter(|p| !done(&replay, p))
         .collect();
     let ran = todo.len();
     run_grid(&todo, 2, |res| {
-        sj.journal.append(&res.to_json()).unwrap();
+        journal.append(&res.to_json()).unwrap();
     });
     ran
 }
@@ -73,10 +78,10 @@ fn three_shards_merge_byte_identical_to_full_grid() {
     }
     assert_eq!(ran, plan.points.len(), "shards must partition the grid");
 
-    let loaded = load_shard_dir(&dir).unwrap();
-    assert_eq!(loaded.files, 3);
-    assert_eq!(loaded.skipped_lines, 0);
-    let (merged, cov) = merge_shards(&plan, &loaded).unwrap();
+    let replay = load_shard_dir(&dir).unwrap();
+    assert_eq!(replay.files, 3);
+    assert_eq!(replay.bad_lines, 0);
+    let (merged, cov) = merge_shards(&plan, &replay).unwrap();
     assert!(cov.extra.is_empty());
     assert_eq!(
         plan.render(&merged),
@@ -97,9 +102,9 @@ fn killed_shard_resumes_from_journal_without_recomputing() {
     // "Kill" the shard after three points: journal only a prefix.
     let cut = 3usize;
     {
-        let mut sj = open_shard_journal(&dir, spec).unwrap();
+        let (mut journal, _) = open_shard_journal(&dir, spec).unwrap();
         run_grid(&owned[..cut], 2, |res| {
-            sj.journal.append(&res.to_json()).unwrap();
+            journal.append(&res.to_json()).unwrap();
         });
     }
     // Simulate the torn trailing line of a mid-write kill.
@@ -114,24 +119,25 @@ fn killed_shard_resumes_from_journal_without_recomputing() {
 
     // Restart: the journal replays the finished prefix, drops the torn
     // tail, and only the remaining points are recomputed.
-    let mut sj = open_shard_journal(&dir, spec).unwrap();
-    assert!(sj.torn_tail);
-    assert_eq!(sj.done.len(), cut);
+    let (mut journal, replay) = open_shard_journal(&dir, spec).unwrap();
+    assert_eq!(replay.torn_tails.len(), 1);
+    assert_eq!(replay.results.len(), cut);
     let todo: Vec<_> = owned
         .iter()
-        .filter(|p| !sj.done.contains_key(&p.key()))
+        .filter(|p| !done(&replay, p))
         .copied()
         .collect();
     assert_eq!(todo.len(), owned.len() - cut, "finished points recomputed");
     run_grid(&todo, 2, |res| {
-        sj.journal.append(&res.to_json()).unwrap();
+        journal.append(&res.to_json()).unwrap();
     });
 
     // The completed journal now merges exactly, and matches a fresh
     // unsharded run byte-for-byte.
-    let loaded = load_shard_dir(&dir).unwrap();
-    assert_eq!(loaded.skipped_lines, 0, "torn tail must be truncated away");
-    let (merged, _) = merge_shards(&plan, &loaded).unwrap();
+    let replay = load_shard_dir(&dir).unwrap();
+    assert_eq!(replay.bad_lines, 0);
+    assert!(replay.torn_tails.is_empty(), "torn tail not truncated");
+    let (merged, _) = merge_shards(&plan, &replay).unwrap();
     let unsharded = run_grid(&plan.points, 4, |_| {});
     assert_eq!(plan.render(&merged), plan.render(&unsharded));
     std::fs::remove_dir_all(&dir).unwrap();

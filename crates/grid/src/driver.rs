@@ -20,6 +20,7 @@
 //! steps; once either is set, it drops the task it holds, which counts
 //! as cancelled, and claims nothing more.
 
+use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -121,6 +122,7 @@ impl MachineDriver {
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Option<T::Done>)>();
         thread::scope(|s| {
+            let mut workers = Vec::new();
             for w in 0..self.workers.clamp(1, n.max(1)) {
                 let tx = tx.clone();
                 let (next, spawn, stopped) = (&next, &spawn, &stopped);
@@ -128,7 +130,7 @@ impl MachineDriver {
                     worker: w,
                     cancel: Arc::clone(&cancel),
                 };
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     'claim: while !stopped() {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         if i >= n {
@@ -147,7 +149,7 @@ impl MachineDriver {
                             break;
                         }
                     }
-                });
+                }));
             }
             drop(tx);
             // Collector doubling as the deadline watchdog: workers only
@@ -172,6 +174,15 @@ impl MachineDriver {
                 if let Some(r) = res {
                     on_done(i, &r);
                     results[i] = Some(r);
+                }
+            }
+            // `scope` waits for the worker closures, not for their threads
+            // to exit: a thread still exiting holds its malloc arena, so the
+            // next run's workers would take fresh ones. Joining also hands
+            // a worker's panic to the caller with its own payload.
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    panic::resume_unwind(payload);
                 }
             }
         });
@@ -337,6 +348,27 @@ mod tests {
             t0.elapsed() < Duration::from_secs(2),
             "watchdog failed to cancel the in-flight step"
         );
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller_with_its_message() {
+        struct Faulty(usize);
+        impl SliceTask for Faulty {
+            type Done = usize;
+            fn step(&mut self, _ctx: &WorkerCtx) -> Step<usize> {
+                if self.0 == 3 {
+                    panic!("task 3 failed");
+                }
+                Step::Done(self.0)
+            }
+        }
+        let payload =
+            panic::catch_unwind(|| MachineDriver::new(2).run(8, Faulty, |_, _| {})).unwrap_err();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("task 3 failed"));
     }
 
     #[test]

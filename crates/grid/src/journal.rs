@@ -4,9 +4,9 @@
 //! as soon as it finishes, so the file is always a prefix of the shard's
 //! work. Restarting a shard opens the journal, replays the parseable
 //! lines (skipping finished points), and appends from there. A process
-//! killed mid-write leaves at most one torn trailing line, which fails to
-//! parse and is simply recomputed — [`Journal::open`] reports it so the
-//! caller can log it.
+//! killed mid-write leaves at most one torn trailing line, which is simply
+//! recomputed — [`Journal::open`] and [`Journal::read`] split it off the
+//! complete lines and report it so the caller can log it.
 //!
 //! The journal is line-oriented and append-only on purpose: `O_APPEND`
 //! single-`write` appends are atomic enough for one writer per shard
@@ -16,16 +16,15 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// An append-only JSONL shard journal.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     file: File,
 }
 
-/// What [`Journal::open`] found on disk.
+/// What [`Journal::open`] or [`Journal::read`] found on disk.
 #[derive(Debug)]
 pub struct JournalReplay {
     /// Every complete line already journaled, in file order.
@@ -42,31 +41,32 @@ impl Journal {
     ///
     /// Returns the underlying I/O error if the file cannot be read or
     /// created (the parent directory must already exist).
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<(Journal, JournalReplay)> {
-        let path = path.into();
+    pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, JournalReplay)> {
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
-            .open(&path)?;
+            .open(path)?;
         let mut contents = String::new();
         file.read_to_string(&mut contents)?;
-        let torn_tail = !contents.is_empty() && !contents.ends_with('\n');
-        let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
-        if torn_tail {
+        let (replay, keep) = split(&contents);
+        if replay.torn_tail {
             // The unterminated tail is a kill artifact, not a record:
-            // drop it and truncate it away so the next append starts on
-            // a fresh line instead of gluing onto the fragment.
-            lines.pop();
-            let keep = contents.rfind('\n').map(|i| i + 1).unwrap_or(0);
+            // truncate it away so the next append starts on a fresh line
+            // instead of gluing onto the fragment.
             file.set_len(keep as u64)?;
         }
-        Ok((Journal { path, file }, JournalReplay { lines, torn_tail }))
+        Ok((Journal { file }, replay))
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Reads a journal's complete lines without opening it for appending
+    /// (so a torn tail is reported but stays on disk).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the file cannot be read.
+    pub fn read(path: impl AsRef<Path>) -> std::io::Result<JournalReplay> {
+        Ok(split(&std::fs::read_to_string(path)?).0)
     }
 
     /// Appends one record line (the line must not contain `\n`) and
@@ -88,9 +88,19 @@ impl Journal {
     }
 }
 
+/// Splits journal contents into its complete lines and an unterminated
+/// tail; also returns the byte length of the complete prefix.
+fn split(contents: &str) -> (JournalReplay, usize) {
+    let keep = contents.rfind('\n').map_or(0, |i| i + 1);
+    let lines = contents[..keep].lines().map(str::to_string).collect();
+    let torn_tail = keep < contents.len();
+    (JournalReplay { lines, torn_tail }, keep)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     /// A path in a directory of its own; tests run in parallel, so each
     /// removes its own directory with [`clean`].
@@ -128,7 +138,13 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_and_reported() {
         let path = scratch("torn.jsonl");
-        std::fs::write(&path, "{\"a\":1}\n{\"a\":2}\n{\"a\":3,\"tr").unwrap();
+        let torn = "{\"a\":1}\n{\"a\":2}\n{\"a\":3,\"tr";
+        std::fs::write(&path, torn).unwrap();
+        // Reading reports the torn tail and leaves it on disk.
+        let replay = Journal::read(&path).unwrap();
+        assert_eq!(replay.lines, vec!["{\"a\":1}", "{\"a\":2}"]);
+        assert!(replay.torn_tail);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
         let (mut j, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay.lines, vec!["{\"a\":1}", "{\"a\":2}"]);
         assert!(replay.torn_tail);

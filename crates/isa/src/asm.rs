@@ -228,11 +228,6 @@ impl Assembler {
         1 + halves[first + 1..].iter().filter(|&&h| h != 0).count()
     }
 
-    /// Copies `rs` to `rd` (`addi rd, rs, 0`).
-    pub fn mv(&mut self, rd: Reg, rs: Reg) {
-        self.push(Inst::addi(rd, rs, 0));
-    }
-
     /// Conditional branch to a label.
     pub fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: Label) {
         self.items.push(Item::Branch {

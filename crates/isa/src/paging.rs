@@ -64,11 +64,6 @@ impl VirtAddr {
         (self.0 >> (PAGE_SHIFT + 9 * level as u32)) & 0x1ff
     }
 
-    /// The full virtual page number (all three fields).
-    pub const fn page_number(self) -> u64 {
-        (self.0 >> PAGE_SHIFT) & ((1 << 27) - 1)
-    }
-
     /// Whether the address is canonical for 39-bit virtual addressing
     /// (bits 63..39 equal bit 38).
     pub const fn is_canonical(self) -> bool {
@@ -118,11 +113,6 @@ impl PhysAddr {
     /// Byte offset within the 4 KiB page.
     pub const fn offset(self) -> u64 {
         self.0 & (PAGE_SIZE - 1)
-    }
-
-    /// The physical page number.
-    pub const fn page_number(self) -> u64 {
-        self.0 >> PAGE_SHIFT
     }
 
     /// The address rounded down to its page base.

@@ -7,7 +7,7 @@
 //! strong-isolation LLC, and the constant-latency DRAM controller.
 //!
 //! Every mechanism the paper's Section 5 introduces is a configuration
-//! toggle here, so the evaluation variants and the ablation benches can
+//! toggle here, so the evaluation variants and the ablation golden test can
 //! enable them independently:
 //!
 //! | paper mechanism | knob |

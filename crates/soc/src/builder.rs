@@ -134,8 +134,8 @@ impl SimBuilder {
 
     /// Tweaks the memory configuration in place, starting from whatever
     /// the variant (or a previous override) established. This is how the
-    /// ablation benches toggle individual Figure-3 mechanisms that the
-    /// named variants bundle together.
+    /// LLC ablation golden test toggles individual Figure-3 mechanisms
+    /// that the named variants bundle together.
     pub fn tune_mem(mut self, f: impl FnOnce(&mut MemConfig)) -> SimBuilder {
         let mut cfg = self
             .mem_cfg

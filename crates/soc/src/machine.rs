@@ -26,37 +26,28 @@ pub struct MachineConfig {
 }
 
 /// Error from [`Machine::run_to_completion`].
-///
-/// Both variants carry the statistics accumulated up to the kill point,
-/// so a cancelled or timed-out run is not a total loss: grid journals can
-/// record how far the point got (cycles, committed instructions, the CPI
-/// stack) before it was stopped.
 #[derive(Clone, Debug)]
 pub enum RunError {
     /// The cycle cap was reached before all cores halted.
     Timeout {
         /// Cycles executed.
         cycles: u64,
-        /// Statistics at the moment the cap was hit.
-        partial: Box<MachineStats>,
     },
     /// The cancel flag ([`crate::SimBuilder::cancel_flag`]) was raised
     /// mid-run.
     Cancelled {
         /// Machine cycle at which the cancellation was observed.
         at_cycle: u64,
-        /// Statistics at the moment the cancellation was observed.
-        partial: Box<MachineStats>,
     },
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Timeout { cycles, .. } => {
+            RunError::Timeout { cycles } => {
                 write!(f, "machine did not halt within {cycles} cycles")
             }
-            RunError::Cancelled { at_cycle, .. } => {
+            RunError::Cancelled { at_cycle } => {
                 write!(f, "run cancelled at cycle {at_cycle}")
             }
         }
@@ -586,24 +577,18 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`RunError::Timeout`] if the machine has not halted after
-    /// `max_cycles`; both error variants carry the partial statistics at
-    /// the kill point.
+    /// `max_cycles`, and [`RunError::Cancelled`] if its cancel flag was
+    /// raised first.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<MachineStats, RunError> {
         self.begin_run(max_cycles);
         loop {
             match self.step_slice(u64::MAX) {
                 SliceOutcome::Completed(stats) => return Ok(stats),
                 SliceOutcome::TimedOut { .. } => {
-                    return Err(RunError::Timeout {
-                        cycles: max_cycles,
-                        partial: Box::new(self.stats()),
-                    });
+                    return Err(RunError::Timeout { cycles: max_cycles });
                 }
                 SliceOutcome::Cancelled { at_cycle } => {
-                    return Err(RunError::Cancelled {
-                        at_cycle,
-                        partial: Box::new(self.stats()),
-                    });
+                    return Err(RunError::Cancelled { at_cycle });
                 }
                 // Unreachable with an unbounded budget (`Blocked` only
                 // fires when a skip would overshoot the slice), but

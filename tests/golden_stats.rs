@@ -6,6 +6,7 @@
 //! refactor). If a *deliberate* timing-model change shifts them, update
 //! the constants in the same commit and say so.
 
+use mi6::mem::{DowngradeOrg, DqOrg, MemConfig, MshrOrg, UqOrg};
 use mi6::soc::{MachineStats, SimBuilder, Variant};
 use mi6::workloads::{generate, BranchStyle, Profile, Workload, WorkloadParams};
 
@@ -114,6 +115,46 @@ fn idle_heavy_matches_golden() {
 /// Captured from the tick-every-cycle implementation (before the
 /// next-event fast-forward); the fast-forward must reproduce it exactly.
 const GOLDEN_IDLE: [u64; 8] = [881769, 18546, 64, 779, 19, 5873, 389, 5873];
+
+/// The Figure-3 LLC ablations (paper Section 5.4): bzip2 on BASE (the
+/// Figure-2 LLC), then with one MI6 mechanism swapped in through
+/// `tune_mem`. The split UQ, the duplicated Downgrade-L1 and the
+/// retry-bit DQ cost nothing (the paper: zero or negligible overhead);
+/// the round-robin arbiter adds about N/2 cycles of LLC latency for N
+/// cores.
+#[test]
+fn llc_ablations_match_golden() {
+    let toggles: [fn(&mut MemConfig); 7] = [
+        |_| {},
+        |m| m.llc.uq = UqOrg::PerCore,
+        |m| {
+            m.llc.downgrade = DowngradeOrg::PerPartition;
+            m.llc.mshrs = MshrOrg::PerCore { per_core: 12 };
+        },
+        |m| m.llc.dq = DqOrg::RetryBit,
+        // The arbiter's extra N/2 cycles for N = 2, 4 and 8 cores.
+        |m| m.llc.pipeline_latency += 1,
+        |m| m.llc.pipeline_latency += 2,
+        |m| m.llc.pipeline_latency += 4,
+    ];
+    let cycles = toggles.map(|toggle| {
+        let mut m = SimBuilder::base()
+            .without_timer()
+            .tune_mem(toggle)
+            .workload(
+                0,
+                Workload::Bzip2.build(&WorkloadParams::tiny().with_target_kinsts(20)),
+            )
+            .build()
+            .unwrap();
+        m.run_to_completion(50_000_000).unwrap().cycles
+    });
+    assert_eq!(cycles, GOLDEN_ABLATIONS, "LLC ablation cycles changed");
+}
+
+/// The seven runs' cycles, captured when they were a `cargo bench`
+/// target. A deliberate timing change updates them in the same commit.
+const GOLDEN_ABLATIONS: [u64; 7] = [39_250, 39_250, 39_250, 39_250, 39_596, 39_956, 40_718];
 
 /// The snapshot round-trip property: interrupting the reference run at an
 /// arbitrary mid-pipeline cycle, serializing the whole machine, restoring
