@@ -141,7 +141,7 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut compare_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut trace_limit: u64 = 0;
+    let mut trace_limit: Option<u64> = None;
     let mut profile = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -153,13 +153,17 @@ fn main() {
             "--json" => json_path = Some(val()),
             "--compare" => compare_path = Some(val()),
             "--trace" => trace_path = Some(val()),
-            "--trace-limit" => trace_limit = val().parse().unwrap_or_else(|_| usage()),
+            "--trace-limit" => trace_limit = Some(val().parse().unwrap_or_else(|_| usage())),
             "--profile" => profile = true,
             _ => usage(),
         }
     }
     if reps == 0 {
         usage();
+    }
+    if trace_limit.is_some() && trace_path.is_none() {
+        eprintln!("mi6-bench: --trace-limit needs --trace");
+        exit(2);
     }
     if trace_path.is_some() {
         // A trace interleaves every core's lifecycle records into one
@@ -230,7 +234,9 @@ fn main() {
             if let Some(path) = &trace_path {
                 // Every rep simulates the same deterministic run, so each
                 // rewrite of the trace file produces identical bytes.
-                builder = builder.trace_path(path).trace_limit(trace_limit);
+                builder = builder
+                    .trace_path(path)
+                    .trace_limit(trace_limit.unwrap_or(0));
             }
             let mut machine = builder.build().expect("BASE builds");
             machine

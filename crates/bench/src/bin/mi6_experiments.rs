@@ -104,6 +104,12 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Rejects a flag that would do nothing: one line on stderr, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("mi6-experiments: {msg}");
+    exit(2);
+}
+
 fn parse_args(args: &[String], merge: bool) -> Cli {
     // Merge re-derives the expected grid from flags; anything that only
     // shapes *how* a run executes would be silently meaningless there,
@@ -196,6 +202,9 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                 cli.threads = value(args, i, "--threads")
                     .parse()
                     .unwrap_or_else(|_| usage());
+                if cli.threads == 0 {
+                    usage_error("--threads must be at least 1");
+                }
                 i += 1;
             }
             "--seeds" => {
@@ -203,8 +212,7 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage());
                 if cli.seeds == 0 {
-                    eprintln!("--seeds must be at least 1");
-                    usage();
+                    usage_error("--seeds must be at least 1");
                 }
                 i += 1;
             }
@@ -267,8 +275,7 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage());
                 if cli.metrics_every == 0 {
-                    eprintln!("--metrics-every must be at least 1 cycle");
-                    usage();
+                    usage_error("--metrics-every must be at least 1 cycle");
                 }
                 i += 1;
             }
@@ -311,6 +318,9 @@ fn parse_args(args: &[String], merge: bool) -> Cli {
     if cli.metrics_every > 0 && cli.out.is_none() {
         eprintln!("--metrics-every needs --out (where per-point metrics JSONL artifacts land)");
         usage();
+    }
+    if !merge && cli.out.is_some() && cli.shard.is_none() && cli.metrics_every == 0 {
+        usage_error("--out needs --shard or --metrics-every (nothing else writes there)");
     }
     if cli.workloads.is_empty() {
         cli.workloads = Workload::ALL.to_vec();

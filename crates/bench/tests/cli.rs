@@ -1,10 +1,11 @@
 //! End-to-end checks of the `mi6-experiments` and `mi6-bench` binaries.
 //!
-//! Flags `mi6-experiments` would otherwise silently ignore, and a
-//! `--warmup` no workload can honour, exit 2 with one message instead of
-//! running. A shard journal stays readable whatever bytes its `--out`
-//! path holds. Every `--json` line either binary writes carries a CPI
-//! stack that `mi6-obs-check stacks` accepts.
+//! Flags either binary would otherwise silently ignore, and a `--warmup`
+//! no workload can honour, exit 2 with one message instead of running. A
+//! shard journal stays readable whatever bytes its `--out` path holds.
+//! Every `--json` line either binary writes carries a CPI stack that
+//! `mi6-obs-check stacks` accepts, and `--json -` leaves only those lines
+//! on stdout.
 
 use std::ffi::OsStr;
 use std::path::Path;
@@ -49,6 +50,35 @@ fn checkpoint_dir_without_warmup_is_a_usage_error() {
         !std::path::Path::new(dir).exists(),
         "a rejected run created its checkpoint dir"
     );
+}
+
+#[test]
+fn flags_that_do_nothing_are_one_line_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("mi6-cli-idle-out-{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    let out_error = "--out needs --shard or --metrics-every";
+    for (args, expected) in [
+        (
+            &["--figure", "6", "--kinsts", "5", "--out", dir][..],
+            out_error,
+        ),
+        (&["--scenario", "enclave-attacker", "--out", dir], out_error),
+        (
+            &["--figure", "6", "--threads", "0"],
+            "--threads must be at least 1",
+        ),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+    assert!(!Path::new(dir).exists(), "a rejected run created --out");
+    let out = bench(&["--kinsts", "1", "--reps", "1", "--trace-limit", "10"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--trace-limit needs --trace"), "{stderr}");
 }
 
 #[test]
@@ -157,6 +187,20 @@ fn every_json_stream_passes_the_stacks_checker() {
         "{stdout}{stderr}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn json_dash_makes_stdout_a_pure_jsonl_stream() {
+    let out = output(&[
+        "--figure", "6", "--kinsts", "10", "--timer", "0", "--json", "-",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // One line per unique point and nothing else: no figure or CPI table.
+    assert_eq!(stdout.lines().count(), 11, "{stdout}");
+    for line in stdout.lines() {
+        mi6_obs::check_stacks_str(line).unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 #[test]

@@ -120,15 +120,10 @@ impl Tournament {
     }
 
     /// Speculatively shifts the predicted outcome into the global history
-    /// (called at fetch; recovered via [`Tournament::restore_ghist`]).
+    /// (called at fetch). A squash rebuilds the history from the committed
+    /// one plus the surviving in-flight branches (`Core::rebuild_ghist`).
     pub fn speculate(&mut self, taken: bool) {
         self.ghist = (self.ghist << 1) | taken as u16;
-    }
-
-    /// Restores the global history after a squash, re-applying the actual
-    /// outcome of the mispredicted branch.
-    pub fn restore_ghist(&mut self, ghist_at_predict: u16, actual_taken: bool) {
-        self.ghist = (ghist_at_predict << 1) | actual_taken as u16;
     }
 
     /// Commits the actual outcome, training all tables.
@@ -378,17 +373,6 @@ mod tests {
         t.reset();
         assert!(!t.predict(pc).taken, "reset state is weakly not-taken");
         assert_eq!(t.ghist, 0);
-    }
-
-    #[test]
-    fn ghist_restore_after_squash() {
-        let mut t = Tournament::new();
-        let p = t.predict(0x100);
-        t.speculate(p.taken);
-        t.speculate(true); // younger speculation, to be squashed
-        t.speculate(false);
-        t.restore_ghist(p.ghist_at_predict, true);
-        assert_eq!(t.ghist, (p.ghist_at_predict << 1) | 1);
     }
 
     #[test]

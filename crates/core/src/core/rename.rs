@@ -3,6 +3,7 @@
 //! issue from the four issue queues, and branch resolution.
 
 use super::*;
+use mi6_isa::ExecUnit;
 
 impl Core {
     // ------------------------------------------------------------- rename
@@ -361,22 +362,16 @@ impl Core {
                     }
                 }
                 Pipe::MulDiv => {
-                    let lat = match inst {
-                        Inst::Div { .. }
-                        | Inst::Divu { .. }
-                        | Inst::Rem { .. }
-                        | Inst::Remu { .. } => self.cfg.div_latency,
-                        Inst::Fdiv { .. } => self.cfg.fdiv_latency,
-                        Inst::Fadd { .. } | Inst::Fmul { .. } => self.cfg.fp_latency,
-                        _ => self.cfg.mul_latency,
+                    let Inst::Alu { op, .. } = inst else {
+                        unreachable!("only register-form ALU ops issue to the FP/MUL/DIV pipe")
                     };
-                    let pipelined = matches!(
-                        inst,
-                        Inst::Mul { .. }
-                            | Inst::Mulh { .. }
-                            | Inst::Fadd { .. }
-                            | Inst::Fmul { .. }
-                    );
+                    let (lat, pipelined) = match op.unit() {
+                        ExecUnit::Mul => (self.cfg.mul_latency, true),
+                        ExecUnit::Fp => (self.cfg.fp_latency, true),
+                        ExecUnit::Div => (self.cfg.div_latency, false),
+                        ExecUnit::Fdiv => (self.cfg.fdiv_latency, false),
+                        ExecUnit::Alu => unreachable!("ALU-unit ops issue to the ALU pipes"),
+                    };
                     self.rob.set_result(idx, exec::eval(&inst, a, b, pc));
                     self.rob.set_stage(
                         idx,

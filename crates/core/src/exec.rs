@@ -1,9 +1,10 @@
 //! Functional execution semantics for computational instructions.
 //!
 //! Pure functions: the timing pipeline decides *when* these run, this
-//! module decides *what* they produce. Division semantics follow RISC-V
-//! (x/0 = all ones, signed overflow wraps); floating point operates on
-//! f64 bit patterns held in integer registers.
+//! module decides *what* they produce. Computational operations evaluate
+//! through [`AluOp::eval`](mi6_isa::AluOp::eval), which follows RISC-V
+//! division semantics (x/0 = all ones, signed overflow wraps) and
+//! operates on f64 bit patterns held in integer registers.
 
 use mi6_isa::Inst;
 
@@ -19,56 +20,8 @@ use mi6_isa::Inst;
 /// system instructions) — the pipeline routes those elsewhere.
 pub fn eval(inst: &Inst, a: u64, b: u64, pc: u64) -> u64 {
     match *inst {
-        Inst::Add { .. } => a.wrapping_add(b),
-        Inst::Sub { .. } => a.wrapping_sub(b),
-        Inst::And { .. } => a & b,
-        Inst::Or { .. } => a | b,
-        Inst::Xor { .. } => a ^ b,
-        Inst::Sll { .. } => a << (b & 63),
-        Inst::Srl { .. } => a >> (b & 63),
-        Inst::Sra { .. } => ((a as i64) >> (b & 63)) as u64,
-        Inst::Slt { .. } => ((a as i64) < (b as i64)) as u64,
-        Inst::Sltu { .. } => (a < b) as u64,
-        Inst::Mul { .. } => a.wrapping_mul(b),
-        Inst::Mulh { .. } => (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
-        Inst::Div { .. } => {
-            if b == 0 {
-                u64::MAX
-            } else if a as i64 == i64::MIN && b as i64 == -1 {
-                a
-            } else {
-                ((a as i64) / (b as i64)) as u64
-            }
-        }
-        Inst::Divu { .. } => a.checked_div(b).unwrap_or(u64::MAX),
-        Inst::Rem { .. } => {
-            if b == 0 {
-                a
-            } else if a as i64 == i64::MIN && b as i64 == -1 {
-                0
-            } else {
-                ((a as i64) % (b as i64)) as u64
-            }
-        }
-        Inst::Remu { .. } => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        Inst::Fadd { .. } => (f64::from_bits(a) + f64::from_bits(b)).to_bits(),
-        Inst::Fmul { .. } => (f64::from_bits(a) * f64::from_bits(b)).to_bits(),
-        Inst::Fdiv { .. } => (f64::from_bits(a) / f64::from_bits(b)).to_bits(),
-        Inst::Addi { imm, .. } => a.wrapping_add(imm as i64 as u64),
-        Inst::Andi { imm, .. } => a & (imm as i64 as u64),
-        Inst::Ori { imm, .. } => a | (imm as i64 as u64),
-        Inst::Xori { imm, .. } => a ^ (imm as i64 as u64),
-        Inst::Slti { imm, .. } => ((a as i64) < imm as i64) as u64,
-        Inst::Sltiu { imm, .. } => (a < imm as i64 as u64) as u64,
-        Inst::Slli { sh, .. } => a << sh,
-        Inst::Srli { sh, .. } => a >> sh,
-        Inst::Srai { sh, .. } => ((a as i64) >> sh) as u64,
+        Inst::Alu { op, .. } => op.eval(a, b),
+        Inst::AluImm { op, imm, .. } => op.eval(a, imm as i64 as u64),
         Inst::Movz { imm16, sh16, .. } => (imm16 as u64) << (sh16 * 16),
         Inst::Movk { imm16, sh16, .. } => {
             let sh = sh16 * 16;
@@ -114,94 +67,31 @@ pub fn extend_load(inst: &Inst, raw: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mi6_isa::{MemWidth, Reg};
+    use mi6_isa::{AluOp, MemWidth, Reg};
 
-    fn r3(f: impl Fn(Reg, Reg, Reg) -> Inst) -> Inst {
-        f(Reg::A0, Reg::A1, Reg::A2)
+    fn r3(op: AluOp) -> Inst {
+        Inst::alu(op, Reg::A0, Reg::A1, Reg::A2)
     }
 
     #[test]
     fn alu_basics() {
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Add { rd, rs1, rs2 }), 5, 7, 0),
-            12
-        );
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Sub { rd, rs1, rs2 }), 5, 7, 0),
-            u64::MAX - 1
-        );
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Sra { rd, rs1, rs2 }),
-                u64::MAX,
-                4,
-                0
-            ),
-            u64::MAX
-        );
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Srl { rd, rs1, rs2 }),
-                u64::MAX,
-                63,
-                0
-            ),
-            1
-        );
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Slt { rd, rs1, rs2 }),
-                u64::MAX,
-                0,
-                0
-            ),
-            1
-        );
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Sltu { rd, rs1, rs2 }),
-                u64::MAX,
-                0,
-                0
-            ),
-            0
-        );
+        assert_eq!(eval(&r3(AluOp::Add), 5, 7, 0), 12);
+        assert_eq!(eval(&r3(AluOp::Sub), 5, 7, 0), u64::MAX - 1);
+        assert_eq!(eval(&r3(AluOp::Sra), u64::MAX, 4, 0), u64::MAX);
+        assert_eq!(eval(&r3(AluOp::Srl), u64::MAX, 63, 0), 1);
+        assert_eq!(eval(&r3(AluOp::Slt), u64::MAX, 0, 0), 1);
+        assert_eq!(eval(&r3(AluOp::Sltu), u64::MAX, 0, 0), 0);
     }
 
     #[test]
     fn riscv_division_semantics() {
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Div { rd, rs1, rs2 }), 7, 0, 0),
-            u64::MAX
-        );
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Rem { rd, rs1, rs2 }), 7, 0, 0),
-            7
-        );
+        assert_eq!(eval(&r3(AluOp::Div), 7, 0, 0), u64::MAX);
+        assert_eq!(eval(&r3(AluOp::Rem), 7, 0, 0), 7);
         // overflow: i64::MIN / -1 wraps to i64::MIN, remainder 0
         let min = i64::MIN as u64;
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Div { rd, rs1, rs2 }),
-                min,
-                u64::MAX,
-                0
-            ),
-            min
-        );
-        assert_eq!(
-            eval(
-                &r3(|rd, rs1, rs2| Inst::Rem { rd, rs1, rs2 }),
-                min,
-                u64::MAX,
-                0
-            ),
-            0
-        );
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Divu { rd, rs1, rs2 }), 7, 2, 0),
-            3
-        );
+        assert_eq!(eval(&r3(AluOp::Div), min, u64::MAX, 0), min);
+        assert_eq!(eval(&r3(AluOp::Rem), min, u64::MAX, 0), 0);
+        assert_eq!(eval(&r3(AluOp::Divu), 7, 2, 0), 3);
     }
 
     #[test]
@@ -209,34 +99,15 @@ mod tests {
         let a = i64::MAX as u64;
         let b = i64::MAX as u64;
         let expect = (((i64::MAX as i128) * (i64::MAX as i128)) >> 64) as u64;
-        assert_eq!(
-            eval(&r3(|rd, rs1, rs2| Inst::Mulh { rd, rs1, rs2 }), a, b, 0),
-            expect
-        );
+        assert_eq!(eval(&r3(AluOp::Mulh), a, b, 0), expect);
     }
 
     #[test]
     fn fp_on_bit_patterns() {
         let a = 1.5f64.to_bits();
         let b = 2.0f64.to_bits();
-        assert_eq!(
-            f64::from_bits(eval(
-                &r3(|rd, rs1, rs2| Inst::Fmul { rd, rs1, rs2 }),
-                a,
-                b,
-                0
-            )),
-            3.0
-        );
-        assert_eq!(
-            f64::from_bits(eval(
-                &r3(|rd, rs1, rs2| Inst::Fdiv { rd, rs1, rs2 }),
-                a,
-                b,
-                0
-            )),
-            0.75
-        );
+        assert_eq!(f64::from_bits(eval(&r3(AluOp::Fmul), a, b, 0)), 3.0);
+        assert_eq!(f64::from_bits(eval(&r3(AluOp::Fdiv), a, b, 0)), 0.75);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use mi6_core::{Core, CoreConfig, SecurityConfig};
 use mi6_isa::csr;
-use mi6_isa::{Assembler, Inst, PhysAddr, PrivLevel, Reg};
+use mi6_isa::{AluOp, Assembler, Inst, PhysAddr, PrivLevel, Reg};
 use mi6_mem::{MemConfig, MemSystem, Port};
 
 const BOOT: u64 = 0x1000;
@@ -66,21 +66,9 @@ fn mul_div_results() {
     let mut asm = Assembler::new(BOOT);
     asm.li(Reg::A0, 7);
     asm.li(Reg::A1, 6);
-    asm.push(Inst::Mul {
-        rd: Reg::A2,
-        rs1: Reg::A0,
-        rs2: Reg::A1,
-    });
-    asm.push(Inst::Div {
-        rd: Reg::A3,
-        rs1: Reg::A2,
-        rs2: Reg::A0,
-    });
-    asm.push(Inst::Rem {
-        rd: Reg::A4,
-        rs1: Reg::A2,
-        rs2: Reg::A1,
-    });
+    asm.push(Inst::alu(AluOp::Mul, Reg::A2, Reg::A0, Reg::A1));
+    asm.push(Inst::alu(AluOp::Div, Reg::A3, Reg::A2, Reg::A0));
+    asm.push(Inst::alu(AluOp::Rem, Reg::A4, Reg::A2, Reg::A1));
     asm.push(Inst::Ebreak);
     let (core, _, _) = run(&asm, SecurityConfig::insecure());
     assert_eq!(core.regs[Reg::A2.index() as usize], 42);
@@ -143,27 +131,11 @@ fn data_dependent_branches_mispredict() {
     asm.li(Reg::A3, 0);
     let top = asm.here();
     let skip = asm.new_label();
-    asm.push(Inst::Andi {
-        rd: Reg::A2,
-        rs1: Reg::A1,
-        imm: 1,
-    });
+    asm.push(Inst::alu_imm(AluOp::And, Reg::A2, Reg::A1, 1));
     // rotate the pattern
-    asm.push(Inst::Srli {
-        rd: Reg::T0,
-        rs1: Reg::A1,
-        sh: 1,
-    });
-    asm.push(Inst::Slli {
-        rd: Reg::T1,
-        rs1: Reg::A1,
-        sh: 63,
-    });
-    asm.push(Inst::Or {
-        rd: Reg::A1,
-        rs1: Reg::T0,
-        rs2: Reg::T1,
-    });
+    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, Reg::A1, 1));
+    asm.push(Inst::alu_imm(AluOp::Sll, Reg::T1, Reg::A1, 63));
+    asm.push(Inst::alu(AluOp::Or, Reg::A1, Reg::T0, Reg::T1));
     asm.beqz(Reg::A2, skip);
     asm.push(Inst::addi(Reg::A3, Reg::A3, 1));
     asm.bind(skip);
@@ -251,11 +223,7 @@ fn purge_resets_branch_predictor() {
         asm.li(Reg::S2, 0); // toggler
         let top = asm.here();
         let skip = asm.new_label();
-        asm.push(Inst::Xori {
-            rd: Reg::S2,
-            rs1: Reg::S2,
-            imm: 1,
-        });
+        asm.push(Inst::alu_imm(AluOp::Xor, Reg::S2, Reg::S2, 1));
         asm.beqz(Reg::S2, skip); // alternating branch: needs history
         asm.push(Inst::addi(Reg::A4, Reg::A4, 1));
         asm.bind(skip);
@@ -535,11 +503,7 @@ fn memory_order_violation_recovers() {
     asm.li(Reg::T2, 3);
     asm.li(Reg::T3, 1);
     for _ in 0..5 {
-        asm.push(Inst::Div {
-            rd: Reg::T2,
-            rs1: Reg::T2,
-            rs2: Reg::T3,
-        });
+        asm.push(Inst::alu(AluOp::Div, Reg::T2, Reg::T2, Reg::T3));
     }
     asm.push(Inst::add(Reg::T0, Reg::SP, Reg::T2));
     asm.push(Inst::addi(Reg::T0, Reg::T0, -3));

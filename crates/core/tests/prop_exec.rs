@@ -6,7 +6,7 @@
 //! classic boundary values, which is where these semantics actually break.
 
 use mi6_core::exec;
-use mi6_isa::{Inst, MemWidth, Reg};
+use mi6_isa::{AluOp, Inst, MemWidth, Reg};
 
 const CASES: usize = 2_000;
 
@@ -49,8 +49,8 @@ fn for_pairs(seed: u64, mut check: impl FnMut(u64, u64)) {
     }
 }
 
-fn r3(f: fn(Reg, Reg, Reg) -> Inst) -> Inst {
-    f(Reg::A0, Reg::A1, Reg::A2)
+fn r3(op: AluOp) -> Inst {
+    Inst::alu(op, Reg::A0, Reg::A1, Reg::A2)
 }
 
 #[test]
@@ -58,11 +58,11 @@ fn div_rem_identity() {
     // RISC-V guarantees: a == div(a,b)*b + rem(a,b) for all inputs
     // (including b == 0 and the signed-overflow case).
     for_pairs(1, |a, b| {
-        let d = exec::eval(&r3(|rd, rs1, rs2| Inst::Div { rd, rs1, rs2 }), a, b, 0);
-        let r = exec::eval(&r3(|rd, rs1, rs2| Inst::Rem { rd, rs1, rs2 }), a, b, 0);
+        let d = exec::eval(&r3(AluOp::Div), a, b, 0);
+        let r = exec::eval(&r3(AluOp::Rem), a, b, 0);
         assert_eq!(d.wrapping_mul(b).wrapping_add(r), a, "signed a={a} b={b}");
-        let du = exec::eval(&r3(|rd, rs1, rs2| Inst::Divu { rd, rs1, rs2 }), a, b, 0);
-        let ru = exec::eval(&r3(|rd, rs1, rs2| Inst::Remu { rd, rs1, rs2 }), a, b, 0);
+        let du = exec::eval(&r3(AluOp::Divu), a, b, 0);
+        let ru = exec::eval(&r3(AluOp::Remu), a, b, 0);
         assert_eq!(
             du.wrapping_mul(b).wrapping_add(ru),
             a,
@@ -74,7 +74,7 @@ fn div_rem_identity() {
 #[test]
 fn mulh_matches_i128() {
     for_pairs(2, |a, b| {
-        let got = exec::eval(&r3(|rd, rs1, rs2| Inst::Mulh { rd, rs1, rs2 }), a, b, 0);
+        let got = exec::eval(&r3(AluOp::Mulh), a, b, 0);
         let want = (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64;
         assert_eq!(got, want, "a={a} b={b}");
     });
@@ -132,39 +132,12 @@ fn load_extension_idempotent() {
 #[test]
 fn shifts_match_reference() {
     for_pairs(5, |a, sel| {
-        let sh = (sel % 64) as u8;
-        let sll = exec::eval(
-            &Inst::Slli {
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                sh,
-            },
-            a,
-            0,
-            0,
-        );
+        let sh = (sel % 64) as i32;
+        let sll = exec::eval(&Inst::alu_imm(AluOp::Sll, Reg::A0, Reg::A1, sh), a, 0, 0);
         assert_eq!(sll, a << sh);
-        let srl = exec::eval(
-            &Inst::Srli {
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                sh,
-            },
-            a,
-            0,
-            0,
-        );
+        let srl = exec::eval(&Inst::alu_imm(AluOp::Srl, Reg::A0, Reg::A1, sh), a, 0, 0);
         assert_eq!(srl, a >> sh);
-        let sra = exec::eval(
-            &Inst::Srai {
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                sh,
-            },
-            a,
-            0,
-            0,
-        );
+        let sra = exec::eval(&Inst::alu_imm(AluOp::Sra, Reg::A0, Reg::A1, sh), a, 0, 0);
         assert_eq!(sra, ((a as i64) >> sh) as u64);
     });
 }

@@ -139,11 +139,6 @@ impl Assembler {
         self.items.len() as u64 * INST_BYTES
     }
 
-    /// The address of the *next* instruction to be pushed.
-    pub fn cursor(&self) -> u64 {
-        self.base + self.len_bytes()
-    }
-
     /// Creates a fresh, unbound label.
     pub fn new_label(&mut self) -> Label {
         self.labels.push(None);
@@ -166,11 +161,6 @@ impl Assembler {
         let slot = &mut self.labels[label.0];
         assert!(slot.is_none(), "label bound twice");
         *slot = Some(self.items.len());
-    }
-
-    /// The address a bound label resolves to, if bound.
-    pub fn address_of(&self, label: Label) -> Option<u64> {
-        self.labels[label.0].map(|idx| self.base + idx as u64 * INST_BYTES)
     }
 
     /// Pushes a finished instruction.
@@ -214,18 +204,6 @@ impl Assembler {
                 });
             }
         }
-    }
-
-    /// Number of instructions [`Assembler::li`] will emit for `value`.
-    pub fn li_len(value: u64) -> usize {
-        let halves = [
-            value & 0xffff,
-            (value >> 16) & 0xffff,
-            (value >> 32) & 0xffff,
-            (value >> 48) & 0xffff,
-        ];
-        let first = halves.iter().position(|&h| h != 0).unwrap_or(0);
-        1 + halves[first + 1..].iter().filter(|&&h| h != 0).count()
     }
 
     /// Conditional branch to a label.
@@ -421,7 +399,6 @@ mod tests {
         ] {
             let mut asm = Assembler::new(0);
             asm.li(Reg::A0, value);
-            assert_eq!(asm.len(), Assembler::li_len(value), "value {value:#x}");
             // simulate the movz/movk sequence
             let mut reg = 0u64;
             for inst in asm.instructions().unwrap() {
@@ -436,16 +413,6 @@ mod tests {
             }
             assert_eq!(reg, value, "li({value:#x}) materialized {reg:#x}");
         }
-    }
-
-    #[test]
-    fn cursor_and_address_of() {
-        let mut asm = Assembler::new(0x1000);
-        assert_eq!(asm.cursor(), 0x1000);
-        asm.nops(3);
-        let l = asm.here();
-        assert_eq!(asm.address_of(l), Some(0x100c));
-        assert_eq!(asm.cursor(), 0x100c);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! [`Assembler`]: crate::asm::Assembler
 
-use crate::inst::{BranchCond, CsrOp, Inst, MemWidth};
+use crate::inst::{AluOp, BranchCond, CsrOp, ImmField, Inst, MemWidth};
 use crate::reg::Reg;
 use std::fmt;
 
@@ -44,12 +44,17 @@ pub enum EncodeError {
         /// The offending byte offset.
         off: i32,
     },
-    /// A shift amount is 64 or more.
+    /// A shift amount is outside `0..64`.
     ShiftTooLarge {
         /// The instruction being encoded.
         inst: Inst,
         /// The offending shift amount.
-        sh: u8,
+        sh: i32,
+    },
+    /// An [`Inst::AluImm`] names an operation with no immediate form.
+    NoImmediateForm {
+        /// The instruction being encoded.
+        inst: Inst,
     },
     /// A CSR address does not fit in 12 bits.
     CsrOutOfRange {
@@ -74,7 +79,10 @@ impl fmt::Display for EncodeError {
                 )
             }
             EncodeError::ShiftTooLarge { inst, sh } => {
-                write!(f, "shift amount {sh} exceeds 63: `{inst}`")
+                write!(f, "shift amount {sh} is outside 0..64: `{inst}`")
+            }
+            EncodeError::NoImmediateForm { inst } => {
+                write!(f, "operation has no immediate form: `{inst}`")
             }
             EncodeError::CsrOutOfRange { csr } => {
                 write!(f, "csr address {csr:#x} does not fit in 12 bits")
@@ -101,35 +109,9 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 // Opcode values. Grouped by format; the decoder matches on these.
+// Opcodes 0..=27 belong to the `AluOp` table: its register forms are
+// 0..=18 and its immediate forms 19..=27.
 mod op {
-    pub const ADD: u32 = 0;
-    pub const SUB: u32 = 1;
-    pub const AND: u32 = 2;
-    pub const OR: u32 = 3;
-    pub const XOR: u32 = 4;
-    pub const SLL: u32 = 5;
-    pub const SRL: u32 = 6;
-    pub const SRA: u32 = 7;
-    pub const SLT: u32 = 8;
-    pub const SLTU: u32 = 9;
-    pub const MUL: u32 = 10;
-    pub const MULH: u32 = 11;
-    pub const DIV: u32 = 12;
-    pub const DIVU: u32 = 13;
-    pub const REM: u32 = 14;
-    pub const REMU: u32 = 15;
-    pub const FADD: u32 = 16;
-    pub const FMUL: u32 = 17;
-    pub const FDIV: u32 = 18;
-    pub const ADDI: u32 = 19;
-    pub const ANDI: u32 = 20;
-    pub const ORI: u32 = 21;
-    pub const XORI: u32 = 22;
-    pub const SLTI: u32 = 23;
-    pub const SLTIU: u32 = 24;
-    pub const SLLI: u32 = 25;
-    pub const SRLI: u32 = 26;
-    pub const SRAI: u32 = 27;
     pub const MOVZ: u32 = 28;
     pub const MOVK: u32 = 29;
     pub const LB: u32 = 30;
@@ -195,50 +177,24 @@ fn i_type(inst: Inst, op: u32, rd: Reg, rs1: Reg, imm: i32) -> Result<u32, Encod
     Ok(op | (rd.index() as u32) << 6 | (rs1.index() as u32) << 11 | imm16 << 16)
 }
 
-fn shift(inst: Inst, op: u32, rd: Reg, rs1: Reg, sh: u8) -> Result<u32, EncodeError> {
-    if sh >= 64 {
-        return Err(EncodeError::ShiftTooLarge { inst, sh });
-    }
-    Ok(op | (rd.index() as u32) << 6 | (rs1.index() as u32) << 11 | (sh as u32) << 16)
-}
-
 /// Encodes an instruction to its 32-bit word.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] when an immediate, offset, shift amount, or CSR
-/// address does not fit in the encoding.
+/// address does not fit in the encoding, or when an [`Inst::AluImm`]'s
+/// operation has no immediate form.
 pub fn encode(inst: Inst) -> Result<u32, EncodeError> {
     use Inst::*;
     Ok(match inst {
-        Add { rd, rs1, rs2 } => r(op::ADD, rd, rs1, rs2),
-        Sub { rd, rs1, rs2 } => r(op::SUB, rd, rs1, rs2),
-        And { rd, rs1, rs2 } => r(op::AND, rd, rs1, rs2),
-        Or { rd, rs1, rs2 } => r(op::OR, rd, rs1, rs2),
-        Xor { rd, rs1, rs2 } => r(op::XOR, rd, rs1, rs2),
-        Sll { rd, rs1, rs2 } => r(op::SLL, rd, rs1, rs2),
-        Srl { rd, rs1, rs2 } => r(op::SRL, rd, rs1, rs2),
-        Sra { rd, rs1, rs2 } => r(op::SRA, rd, rs1, rs2),
-        Slt { rd, rs1, rs2 } => r(op::SLT, rd, rs1, rs2),
-        Sltu { rd, rs1, rs2 } => r(op::SLTU, rd, rs1, rs2),
-        Mul { rd, rs1, rs2 } => r(op::MUL, rd, rs1, rs2),
-        Mulh { rd, rs1, rs2 } => r(op::MULH, rd, rs1, rs2),
-        Div { rd, rs1, rs2 } => r(op::DIV, rd, rs1, rs2),
-        Divu { rd, rs1, rs2 } => r(op::DIVU, rd, rs1, rs2),
-        Rem { rd, rs1, rs2 } => r(op::REM, rd, rs1, rs2),
-        Remu { rd, rs1, rs2 } => r(op::REMU, rd, rs1, rs2),
-        Fadd { rd, rs1, rs2 } => r(op::FADD, rd, rs1, rs2),
-        Fmul { rd, rs1, rs2 } => r(op::FMUL, rd, rs1, rs2),
-        Fdiv { rd, rs1, rs2 } => r(op::FDIV, rd, rs1, rs2),
-        Addi { rd, rs1, imm } => i_type(inst, op::ADDI, rd, rs1, imm)?,
-        Andi { rd, rs1, imm } => i_type(inst, op::ANDI, rd, rs1, imm)?,
-        Ori { rd, rs1, imm } => i_type(inst, op::ORI, rd, rs1, imm)?,
-        Xori { rd, rs1, imm } => i_type(inst, op::XORI, rd, rs1, imm)?,
-        Slti { rd, rs1, imm } => i_type(inst, op::SLTI, rd, rs1, imm)?,
-        Sltiu { rd, rs1, imm } => i_type(inst, op::SLTIU, rd, rs1, imm)?,
-        Slli { rd, rs1, sh } => shift(inst, op::SLLI, rd, rs1, sh)?,
-        Srli { rd, rs1, sh } => shift(inst, op::SRLI, rd, rs1, sh)?,
-        Srai { rd, rs1, sh } => shift(inst, op::SRAI, rd, rs1, sh)?,
+        Alu { op, rd, rs1, rs2 } => r(op as u32, rd, rs1, rs2),
+        AluImm { op, rd, rs1, imm } => {
+            let form = op.imm_form().ok_or(EncodeError::NoImmediateForm { inst })?;
+            if form.field == ImmField::Shamt && !(0..64).contains(&imm) {
+                return Err(EncodeError::ShiftTooLarge { inst, sh: imm });
+            }
+            i_type(inst, form.opcode, rd, rs1, imm)?
+        }
         Movz { rd, imm16, sh16 } => {
             debug_assert!(sh16 < 4);
             op::MOVZ | (rd.index() as u32) << 6 | ((sh16 & 3) as u32) << 11 | (imm16 as u32) << 16
@@ -359,49 +315,19 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
     let opcode = word & 0x3f;
     let rd = field_rd(word);
     let rs1 = field_rs1(word);
-    let rs2 = field_rs2(word);
     let imm = field_imm16(word);
+    if let Some(&op) = AluOp::ALL.get(opcode as usize) {
+        let rs2 = field_rs2(word);
+        return Ok(Inst::Alu { op, rd, rs1, rs2 });
+    }
+    if let Some(op) = AluOp::from_imm_opcode(opcode) {
+        let imm = match op.imm_form().map(|form| form.field) {
+            Some(ImmField::Shamt) => ((word >> 16) & 0x3f) as i32,
+            _ => imm,
+        };
+        return Ok(Inst::AluImm { op, rd, rs1, imm });
+    }
     Ok(match opcode {
-        op::ADD => Inst::Add { rd, rs1, rs2 },
-        op::SUB => Inst::Sub { rd, rs1, rs2 },
-        op::AND => Inst::And { rd, rs1, rs2 },
-        op::OR => Inst::Or { rd, rs1, rs2 },
-        op::XOR => Inst::Xor { rd, rs1, rs2 },
-        op::SLL => Inst::Sll { rd, rs1, rs2 },
-        op::SRL => Inst::Srl { rd, rs1, rs2 },
-        op::SRA => Inst::Sra { rd, rs1, rs2 },
-        op::SLT => Inst::Slt { rd, rs1, rs2 },
-        op::SLTU => Inst::Sltu { rd, rs1, rs2 },
-        op::MUL => Inst::Mul { rd, rs1, rs2 },
-        op::MULH => Inst::Mulh { rd, rs1, rs2 },
-        op::DIV => Inst::Div { rd, rs1, rs2 },
-        op::DIVU => Inst::Divu { rd, rs1, rs2 },
-        op::REM => Inst::Rem { rd, rs1, rs2 },
-        op::REMU => Inst::Remu { rd, rs1, rs2 },
-        op::FADD => Inst::Fadd { rd, rs1, rs2 },
-        op::FMUL => Inst::Fmul { rd, rs1, rs2 },
-        op::FDIV => Inst::Fdiv { rd, rs1, rs2 },
-        op::ADDI => Inst::Addi { rd, rs1, imm },
-        op::ANDI => Inst::Andi { rd, rs1, imm },
-        op::ORI => Inst::Ori { rd, rs1, imm },
-        op::XORI => Inst::Xori { rd, rs1, imm },
-        op::SLTI => Inst::Slti { rd, rs1, imm },
-        op::SLTIU => Inst::Sltiu { rd, rs1, imm },
-        op::SLLI => Inst::Slli {
-            rd,
-            rs1,
-            sh: ((word >> 16) & 0x3f) as u8,
-        },
-        op::SRLI => Inst::Srli {
-            rd,
-            rs1,
-            sh: ((word >> 16) & 0x3f) as u8,
-        },
-        op::SRAI => Inst::Srai {
-            rd,
-            rs1,
-            sh: ((word >> 16) & 0x3f) as u8,
-        },
         op::MOVZ => Inst::Movz {
             rd,
             imm16: (word >> 16) as u16,
@@ -503,40 +429,79 @@ mod tests {
     #[test]
     fn round_trip_r_type() {
         for (rd, rs1, rs2) in [(Reg::A0, Reg::A1, Reg::A2), (Reg::ZERO, Reg::T6, Reg::SP)] {
-            round_trip(Inst::Add { rd, rs1, rs2 });
-            round_trip(Inst::Sub { rd, rs1, rs2 });
-            round_trip(Inst::Mul { rd, rs1, rs2 });
-            round_trip(Inst::Divu { rd, rs1, rs2 });
-            round_trip(Inst::Fdiv { rd, rs1, rs2 });
-            round_trip(Inst::Sltu { rd, rs1, rs2 });
+            for op in AluOp::ALL {
+                round_trip(Inst::alu(op, rd, rs1, rs2));
+            }
         }
     }
 
     #[test]
     fn round_trip_immediates() {
-        for imm in [-32768, -1, 0, 1, 32767] {
-            round_trip(Inst::Addi {
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                imm,
-            });
-            round_trip(Inst::Xori {
-                rd: Reg::T0,
-                rs1: Reg::T1,
-                imm,
-            });
+        for op in AluOp::ALL {
+            let imms: &[i32] = match op.imm_form().map(|form| form.field) {
+                None => continue,
+                Some(ImmField::Simm16) => &[-32768, -1, 0, 1, 32767],
+                Some(ImmField::Shamt) => &[0, 1, 31, 63],
+            };
+            for &imm in imms {
+                round_trip(Inst::alu_imm(op, Reg::A0, Reg::A1, imm));
+                round_trip(Inst::alu_imm(op, Reg::T0, Reg::T0, imm));
+            }
         }
-        for sh in [0u8, 1, 31, 63] {
-            round_trip(Inst::Slli {
-                rd: Reg::A0,
-                rs1: Reg::A0,
-                sh,
-            });
-            round_trip(Inst::Srai {
-                rd: Reg::A0,
-                rs1: Reg::A0,
-                sh,
-            });
+    }
+
+    /// Snapshots store encoded words, so every computational opcode is
+    /// an on-disk contract: each word here is written out from the
+    /// layout in the module docs (`a0`, `a1`, `a2` are x10, x11, x12).
+    #[test]
+    fn alu_words_keep_their_encoding() {
+        let (rd, rs1, rs2) = (10 << 6, 11 << 11, 12 << 16);
+        let register = [
+            (AluOp::Add, 0),
+            (AluOp::Sub, 1),
+            (AluOp::And, 2),
+            (AluOp::Or, 3),
+            (AluOp::Xor, 4),
+            (AluOp::Sll, 5),
+            (AluOp::Srl, 6),
+            (AluOp::Sra, 7),
+            (AluOp::Slt, 8),
+            (AluOp::Sltu, 9),
+            (AluOp::Mul, 10),
+            (AluOp::Mulh, 11),
+            (AluOp::Div, 12),
+            (AluOp::Divu, 13),
+            (AluOp::Rem, 14),
+            (AluOp::Remu, 15),
+            (AluOp::Fadd, 16),
+            (AluOp::Fmul, 17),
+            (AluOp::Fdiv, 18),
+        ];
+        assert_eq!(register.map(|(op, _)| op), AluOp::ALL);
+        for (op, opcode) in register {
+            let inst = Inst::alu(op, Reg::A0, Reg::A1, Reg::A2);
+            assert_eq!(encode(inst), Ok(opcode | rd | rs1 | rs2), "`{inst}`");
+        }
+        let immediate = [
+            (AluOp::Add, 19),
+            (AluOp::And, 20),
+            (AluOp::Or, 21),
+            (AluOp::Xor, 22),
+            (AluOp::Slt, 23),
+            (AluOp::Sltu, 24),
+            (AluOp::Sll, 25),
+            (AluOp::Srl, 26),
+            (AluOp::Sra, 27),
+        ];
+        for (op, opcode) in immediate {
+            let inst = Inst::alu_imm(op, Reg::A0, Reg::A1, 63);
+            assert_eq!(encode(inst), Ok(opcode | rd | rs1 | 63 << 16), "`{inst}`");
+        }
+        for op in AluOp::ALL {
+            if immediate.iter().all(|&(o, ..)| o != op) {
+                let inst = Inst::alu_imm(op, Reg::A0, Reg::A1, 1);
+                assert_eq!(encode(inst), Err(EncodeError::NoImmediateForm { inst }));
+            }
         }
     }
 
@@ -644,12 +609,7 @@ mod tests {
 
     #[test]
     fn imm_out_of_range_rejected() {
-        let err = encode(Inst::Addi {
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: 40000,
-        })
-        .unwrap_err();
+        let err = encode(Inst::addi(Reg::A0, Reg::A0, 40000)).unwrap_err();
         assert!(matches!(err, EncodeError::ImmOutOfRange { bits: 16, .. }));
     }
 
@@ -679,13 +639,10 @@ mod tests {
 
     #[test]
     fn shift_too_large_rejected() {
-        let err = encode(Inst::Slli {
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            sh: 64,
-        })
-        .unwrap_err();
+        let err = encode(Inst::alu_imm(AluOp::Sll, Reg::A0, Reg::A0, 64)).unwrap_err();
         assert!(matches!(err, EncodeError::ShiftTooLarge { sh: 64, .. }));
+        let err = encode(Inst::alu_imm(AluOp::Sra, Reg::A0, Reg::A0, -1)).unwrap_err();
+        assert!(matches!(err, EncodeError::ShiftTooLarge { sh: -1, .. }));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! required by the untrusted OS and the security monitor (`ecall`, `sret`,
 //! `mret`, CSR accesses, fences), a small floating-point group that exercises
 //! the FP/MUL/DIV pipeline, and the MI6 paper's new [`Inst::Purge`]
-//! instruction.
+//! instruction. The computational operations share two variants,
+//! [`Inst::Alu`] and [`Inst::AluImm`], over one [`AluOp`] table.
 
 use crate::reg::Reg;
 use std::fmt;
@@ -86,6 +87,165 @@ impl BranchCond {
     ];
 }
 
+/// The unit that executes an [`AluOp`]; the core sets each unit's latency.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ExecUnit {
+    /// The single-cycle integer ALU pipes.
+    Alu,
+    /// The FP/MUL/DIV pipe's multiplier (pipelined).
+    Mul,
+    /// The FP/MUL/DIV pipe's integer divider (not pipelined).
+    Div,
+    /// The FP/MUL/DIV pipe's floating-point adder and multiplier (pipelined).
+    Fp,
+    /// The FP/MUL/DIV pipe's floating-point divider (not pipelined).
+    Fdiv,
+}
+
+/// How an immediate form holds its immediate in bits `[31:16]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ImmField {
+    /// A signed 16-bit value, sign-extended to 64 bits.
+    Simm16,
+    /// A shift amount in `0..64`, in bits `[21:16]`.
+    Shamt,
+}
+
+/// The register-immediate form of an [`AluOp`] ([`Inst::AluImm`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ImmForm {
+    /// The form's opcode.
+    pub opcode: u32,
+    /// The form's mnemonic.
+    pub mnemonic: &'static str,
+    /// How the form encodes its immediate.
+    pub field: ImmField,
+}
+
+/// Declares [`AluOp`] from one table with a row per operation: its doc,
+/// mnemonic, [`ExecUnit`], optional immediate form and semantics. The
+/// register-form opcode is the row's index, so the row order is part of
+/// the instruction encoding, which snapshots store.
+macro_rules! alu_ops {
+    ($(
+        $(#[$doc:meta])*
+        $op:ident $mnemonic:literal, $unit:ident
+        $(, $field:ident $imm_opcode:literal $imm_mnemonic:literal)?
+        => |$a:ident, $b:ident| $eval:expr;
+    )+) => {
+        /// A computational operation: the `op` of [`Inst::Alu`] and
+        /// [`Inst::AluImm`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum AluOp {
+            $($(#[$doc])* $op,)+
+        }
+
+        impl AluOp {
+            /// All operations in opcode order: the register form of `ALL[i]`
+            /// has opcode `i`.
+            pub const ALL: [AluOp; [$(AluOp::$op),+].len()] = [$(AluOp::$op),+];
+
+            /// The register form's mnemonic.
+            pub(crate) const fn mnemonic(self) -> &'static str {
+                match self {
+                    $(AluOp::$op => $mnemonic,)+
+                }
+            }
+
+            /// The unit that executes this operation.
+            pub const fn unit(self) -> ExecUnit {
+                match self {
+                    $(AluOp::$op => ExecUnit::$unit,)+
+                }
+            }
+
+            /// The register-immediate form, if the operation has one.
+            pub const fn imm_form(self) -> Option<ImmForm> {
+                match self {
+                    $($(AluOp::$op => Some(ImmForm {
+                        opcode: $imm_opcode,
+                        mnemonic: $imm_mnemonic,
+                        field: ImmField::$field,
+                    }),)?)+
+                    _ => None,
+                }
+            }
+
+            /// The operation whose immediate form has `opcode`.
+            pub(crate) const fn from_imm_opcode(opcode: u32) -> Option<AluOp> {
+                match opcode {
+                    $($($imm_opcode => Some(AluOp::$op),)?)+
+                    _ => None,
+                }
+            }
+
+            /// Computes `a op b`: `b` is `rs2`'s value, or the immediate
+            /// sign-extended to 64 bits.
+            ///
+            /// ```
+            /// use mi6_isa::AluOp;
+            /// assert_eq!(AluOp::Sub.eval(5, 7), u64::MAX - 1);
+            /// assert_eq!(AluOp::Div.eval(7, 0), u64::MAX); // RISC-V: x / 0 = -1
+            /// ```
+            pub fn eval(self, a: u64, b: u64) -> u64 {
+                match self {
+                    $(AluOp::$op => {
+                        let ($a, $b) = (a, b);
+                        $eval
+                    })+
+                }
+            }
+        }
+    };
+}
+
+alu_ops! {
+    /// `rd = rs1 + rs2`
+    Add "add", Alu, Simm16 19 "addi" => |a, b| a.wrapping_add(b);
+    /// `rd = rs1 - rs2`
+    Sub "sub", Alu => |a, b| a.wrapping_sub(b);
+    /// `rd = rs1 & rs2`
+    And "and", Alu, Simm16 20 "andi" => |a, b| a & b;
+    /// `rd = rs1 | rs2`
+    Or "or", Alu, Simm16 21 "ori" => |a, b| a | b;
+    /// `rd = rs1 ^ rs2`
+    Xor "xor", Alu, Simm16 22 "xori" => |a, b| a ^ b;
+    /// `rd = rs1 << (rs2 & 63)`
+    Sll "sll", Alu, Shamt 25 "slli" => |a, b| a << (b & 63);
+    /// `rd = rs1 >> (rs2 & 63)` (logical)
+    Srl "srl", Alu, Shamt 26 "srli" => |a, b| a >> (b & 63);
+    /// `rd = rs1 >> (rs2 & 63)` (arithmetic)
+    Sra "sra", Alu, Shamt 27 "srai" => |a, b| ((a as i64) >> (b & 63)) as u64;
+    /// `rd = (rs1 <s rs2) ? 1 : 0`
+    Slt "slt", Alu, Simm16 23 "slti" => |a, b| ((a as i64) < (b as i64)) as u64;
+    /// `rd = (rs1 <u rs2) ? 1 : 0`
+    Sltu "sltu", Alu, Simm16 24 "sltiu" => |a, b| (a < b) as u64;
+    /// `rd = rs1 * rs2` (low 64 bits)
+    Mul "mul", Mul => |a, b| a.wrapping_mul(b);
+    /// `rd = (rs1 * rs2) >> 64` (signed high)
+    Mulh "mulh", Mul => |a, b| (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64;
+    /// signed division (RISC-V semantics: x/0 = -1, overflow wraps)
+    Div "div", Div => |a, b| match b {
+        0 => u64::MAX,
+        _ => (a as i64).wrapping_div(b as i64) as u64,
+    };
+    /// unsigned division (x/0 = all ones)
+    Divu "divu", Div => |a, b| a.checked_div(b).unwrap_or(u64::MAX);
+    /// signed remainder (x%0 = x, overflow gives 0)
+    Rem "rem", Div => |a, b| match b {
+        0 => a,
+        _ => (a as i64).wrapping_rem(b as i64) as u64,
+    };
+    /// unsigned remainder (x%0 = x)
+    Remu "remu", Div => |a, b| a.checked_rem(b).unwrap_or(a);
+    /// `rd = f64(rs1) + f64(rs2)` as bit patterns
+    Fadd "fadd", Fp => |a, b| (f64::from_bits(a) + f64::from_bits(b)).to_bits();
+    /// `rd = f64(rs1) * f64(rs2)` as bit patterns
+    Fmul "fmul", Fp => |a, b| (f64::from_bits(a) * f64::from_bits(b)).to_bits();
+    /// `rd = f64(rs1) / f64(rs2)` as bit patterns
+    Fdiv "fdiv", Fdiv => |a, b| (f64::from_bits(a) / f64::from_bits(b)).to_bits();
+}
+
 /// CSR access operation (read-write / read-set / read-clear).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CsrOp {
@@ -103,69 +263,22 @@ pub enum CsrOp {
 /// instruction's own PC and must be multiples of 4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Inst {
-    // ---- register-register ALU (1-cycle ALU pipes) ----
-    /// `rd = rs1 + rs2`
-    Add { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 - rs2`
-    Sub { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 & rs2`
-    And { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 | rs2`
-    Or { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 ^ rs2`
-    Xor { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 << (rs2 & 63)`
-    Sll { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 >> (rs2 & 63)` (logical)
-    Srl { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = rs1 >> (rs2 & 63)` (arithmetic)
-    Sra { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = (rs1 <s rs2) ? 1 : 0`
-    Slt { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = (rs1 <u rs2) ? 1 : 0`
-    Sltu { rd: Reg, rs1: Reg, rs2: Reg },
-
-    // ---- multiply / divide (FP/MUL/DIV pipe, multi-cycle) ----
-    /// `rd = rs1 * rs2` (low 64 bits)
-    Mul { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = (rs1 * rs2) >> 64` (signed high)
-    Mulh { rd: Reg, rs1: Reg, rs2: Reg },
-    /// signed division (RISC-V semantics: x/0 = -1, overflow wraps)
-    Div { rd: Reg, rs1: Reg, rs2: Reg },
-    /// unsigned division (x/0 = all ones)
-    Divu { rd: Reg, rs1: Reg, rs2: Reg },
-    /// signed remainder (x%0 = x)
-    Rem { rd: Reg, rs1: Reg, rs2: Reg },
-    /// unsigned remainder (x%0 = x)
-    Remu { rd: Reg, rs1: Reg, rs2: Reg },
-
-    // ---- floating point on f64 bit patterns (FP/MUL/DIV pipe) ----
-    /// `rd = f64(rs1) + f64(rs2)` as bit patterns
-    Fadd { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = f64(rs1) * f64(rs2)` as bit patterns
-    Fmul { rd: Reg, rs1: Reg, rs2: Reg },
-    /// `rd = f64(rs1) / f64(rs2)` as bit patterns
-    Fdiv { rd: Reg, rs1: Reg, rs2: Reg },
-
-    // ---- register-immediate ALU ----
-    /// `rd = rs1 + imm` (also the canonical NOP as `addi x0,x0,0`)
-    Addi { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = rs1 & imm`
-    Andi { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = rs1 | imm`
-    Ori { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = rs1 ^ imm`
-    Xori { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = (rs1 <s imm) ? 1 : 0`
-    Slti { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = (rs1 <u imm) ? 1 : 0`
-    Sltiu { rd: Reg, rs1: Reg, imm: i32 },
-    /// `rd = rs1 << sh`
-    Slli { rd: Reg, rs1: Reg, sh: u8 },
-    /// `rd = rs1 >> sh` (logical)
-    Srli { rd: Reg, rs1: Reg, sh: u8 },
-    /// `rd = rs1 >> sh` (arithmetic)
-    Srai { rd: Reg, rs1: Reg, sh: u8 },
+    // ---- computational (ALU, mul/div and FP; one `AluOp` each) ----
+    /// `rd = rs1 op rs2`
+    Alu {
+        op: AluOp,
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    /// `rd = rs1 op imm`, for an `op` with an [`AluOp::imm_form`]; `addi
+    /// x0, x0, 0` is the canonical NOP.
+    AluImm {
+        op: AluOp,
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
 
     // ---- wide-constant construction (ARM-style move wide) ----
     /// `rd = imm16 << (sh16 * 16)` (other bits zeroed)
@@ -236,20 +349,26 @@ pub enum Inst {
 
 impl Inst {
     /// Canonical no-op.
-    pub const NOP: Inst = Inst::Addi {
-        rd: Reg::ZERO,
-        rs1: Reg::ZERO,
-        imm: 0,
-    };
+    pub const NOP: Inst = Inst::addi(Reg::ZERO, Reg::ZERO, 0);
+
+    /// Convenience constructor for [`Inst::Alu`].
+    pub const fn alu(op: AluOp, rd: Reg, rs1: Reg, rs2: Reg) -> Inst {
+        Inst::Alu { op, rd, rs1, rs2 }
+    }
+
+    /// Convenience constructor for [`Inst::AluImm`].
+    pub const fn alu_imm(op: AluOp, rd: Reg, rs1: Reg, imm: i32) -> Inst {
+        Inst::AluImm { op, rd, rs1, imm }
+    }
 
     /// Convenience constructor for `add`.
     pub const fn add(rd: Reg, rs1: Reg, rs2: Reg) -> Inst {
-        Inst::Add { rd, rs1, rs2 }
+        Inst::alu(AluOp::Add, rd, rs1, rs2)
     }
 
     /// Convenience constructor for `addi`.
     pub const fn addi(rd: Reg, rs1: Reg, imm: i32) -> Inst {
-        Inst::Addi { rd, rs1, imm }
+        Inst::alu_imm(AluOp::Add, rd, rs1, imm)
     }
 
     /// Convenience constructor for a 64-bit (`D`) load.
@@ -271,14 +390,6 @@ impl Inst {
             off,
             width: MemWidth::D,
         }
-    }
-
-    /// True for conditional branches and unconditional jumps.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. } | Inst::Jal { .. } | Inst::Jalr { .. }
-        )
     }
 
     /// True for conditional branches only.
@@ -303,18 +414,7 @@ impl Inst {
 
     /// True for instructions executed on the FP/MUL/DIV pipeline.
     pub fn is_muldiv_fp(&self) -> bool {
-        matches!(
-            self,
-            Inst::Mul { .. }
-                | Inst::Mulh { .. }
-                | Inst::Div { .. }
-                | Inst::Divu { .. }
-                | Inst::Rem { .. }
-                | Inst::Remu { .. }
-                | Inst::Fadd { .. }
-                | Inst::Fmul { .. }
-                | Inst::Fdiv { .. }
-        )
+        matches!(self, Inst::Alu { op, .. } if op.unit() != ExecUnit::Alu)
     }
 
     /// True for system instructions that serialize the pipeline (traps,
@@ -340,34 +440,8 @@ impl Inst {
     /// discarded architecturally).
     pub fn dest(&self) -> Option<Reg> {
         let rd = match *self {
-            Inst::Add { rd, .. }
-            | Inst::Sub { rd, .. }
-            | Inst::And { rd, .. }
-            | Inst::Or { rd, .. }
-            | Inst::Xor { rd, .. }
-            | Inst::Sll { rd, .. }
-            | Inst::Srl { rd, .. }
-            | Inst::Sra { rd, .. }
-            | Inst::Slt { rd, .. }
-            | Inst::Sltu { rd, .. }
-            | Inst::Mul { rd, .. }
-            | Inst::Mulh { rd, .. }
-            | Inst::Div { rd, .. }
-            | Inst::Divu { rd, .. }
-            | Inst::Rem { rd, .. }
-            | Inst::Remu { rd, .. }
-            | Inst::Fadd { rd, .. }
-            | Inst::Fmul { rd, .. }
-            | Inst::Fdiv { rd, .. }
-            | Inst::Addi { rd, .. }
-            | Inst::Andi { rd, .. }
-            | Inst::Ori { rd, .. }
-            | Inst::Xori { rd, .. }
-            | Inst::Slti { rd, .. }
-            | Inst::Sltiu { rd, .. }
-            | Inst::Slli { rd, .. }
-            | Inst::Srli { rd, .. }
-            | Inst::Srai { rd, .. }
+            Inst::Alu { rd, .. }
+            | Inst::AluImm { rd, .. }
             | Inst::Movz { rd, .. }
             | Inst::Movk { rd, .. }
             | Inst::Load { rd, .. }
@@ -387,35 +461,8 @@ impl Inst {
     /// sources are kept — reading x0 is free but uniform handling is simpler).
     pub fn sources(&self) -> (Option<Reg>, Option<Reg>) {
         match *self {
-            Inst::Add { rs1, rs2, .. }
-            | Inst::Sub { rs1, rs2, .. }
-            | Inst::And { rs1, rs2, .. }
-            | Inst::Or { rs1, rs2, .. }
-            | Inst::Xor { rs1, rs2, .. }
-            | Inst::Sll { rs1, rs2, .. }
-            | Inst::Srl { rs1, rs2, .. }
-            | Inst::Sra { rs1, rs2, .. }
-            | Inst::Slt { rs1, rs2, .. }
-            | Inst::Sltu { rs1, rs2, .. }
-            | Inst::Mul { rs1, rs2, .. }
-            | Inst::Mulh { rs1, rs2, .. }
-            | Inst::Div { rs1, rs2, .. }
-            | Inst::Divu { rs1, rs2, .. }
-            | Inst::Rem { rs1, rs2, .. }
-            | Inst::Remu { rs1, rs2, .. }
-            | Inst::Fadd { rs1, rs2, .. }
-            | Inst::Fmul { rs1, rs2, .. }
-            | Inst::Fdiv { rs1, rs2, .. }
-            | Inst::Branch { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
-            Inst::Addi { rs1, .. }
-            | Inst::Andi { rs1, .. }
-            | Inst::Ori { rs1, .. }
-            | Inst::Xori { rs1, .. }
-            | Inst::Slti { rs1, .. }
-            | Inst::Sltiu { rs1, .. }
-            | Inst::Slli { rs1, .. }
-            | Inst::Srli { rs1, .. }
-            | Inst::Srai { rs1, .. }
+            Inst::Alu { rs1, rs2, .. } | Inst::Branch { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
+            Inst::AluImm { rs1, .. }
             | Inst::Load { rs1, .. }
             | Inst::Jalr { rs1, .. }
             | Inst::Csr { rs1, .. } => (Some(rs1), None),
@@ -439,34 +486,12 @@ impl Inst {
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Inst::Add { rd, rs1, rs2 } => write!(f, "add {rd}, {rs1}, {rs2}"),
-            Inst::Sub { rd, rs1, rs2 } => write!(f, "sub {rd}, {rs1}, {rs2}"),
-            Inst::And { rd, rs1, rs2 } => write!(f, "and {rd}, {rs1}, {rs2}"),
-            Inst::Or { rd, rs1, rs2 } => write!(f, "or {rd}, {rs1}, {rs2}"),
-            Inst::Xor { rd, rs1, rs2 } => write!(f, "xor {rd}, {rs1}, {rs2}"),
-            Inst::Sll { rd, rs1, rs2 } => write!(f, "sll {rd}, {rs1}, {rs2}"),
-            Inst::Srl { rd, rs1, rs2 } => write!(f, "srl {rd}, {rs1}, {rs2}"),
-            Inst::Sra { rd, rs1, rs2 } => write!(f, "sra {rd}, {rs1}, {rs2}"),
-            Inst::Slt { rd, rs1, rs2 } => write!(f, "slt {rd}, {rs1}, {rs2}"),
-            Inst::Sltu { rd, rs1, rs2 } => write!(f, "sltu {rd}, {rs1}, {rs2}"),
-            Inst::Mul { rd, rs1, rs2 } => write!(f, "mul {rd}, {rs1}, {rs2}"),
-            Inst::Mulh { rd, rs1, rs2 } => write!(f, "mulh {rd}, {rs1}, {rs2}"),
-            Inst::Div { rd, rs1, rs2 } => write!(f, "div {rd}, {rs1}, {rs2}"),
-            Inst::Divu { rd, rs1, rs2 } => write!(f, "divu {rd}, {rs1}, {rs2}"),
-            Inst::Rem { rd, rs1, rs2 } => write!(f, "rem {rd}, {rs1}, {rs2}"),
-            Inst::Remu { rd, rs1, rs2 } => write!(f, "remu {rd}, {rs1}, {rs2}"),
-            Inst::Fadd { rd, rs1, rs2 } => write!(f, "fadd {rd}, {rs1}, {rs2}"),
-            Inst::Fmul { rd, rs1, rs2 } => write!(f, "fmul {rd}, {rs1}, {rs2}"),
-            Inst::Fdiv { rd, rs1, rs2 } => write!(f, "fdiv {rd}, {rs1}, {rs2}"),
-            Inst::Addi { rd, rs1, imm } => write!(f, "addi {rd}, {rs1}, {imm}"),
-            Inst::Andi { rd, rs1, imm } => write!(f, "andi {rd}, {rs1}, {imm}"),
-            Inst::Ori { rd, rs1, imm } => write!(f, "ori {rd}, {rs1}, {imm}"),
-            Inst::Xori { rd, rs1, imm } => write!(f, "xori {rd}, {rs1}, {imm}"),
-            Inst::Slti { rd, rs1, imm } => write!(f, "slti {rd}, {rs1}, {imm}"),
-            Inst::Sltiu { rd, rs1, imm } => write!(f, "sltiu {rd}, {rs1}, {imm}"),
-            Inst::Slli { rd, rs1, sh } => write!(f, "slli {rd}, {rs1}, {sh}"),
-            Inst::Srli { rd, rs1, sh } => write!(f, "srli {rd}, {rs1}, {sh}"),
-            Inst::Srai { rd, rs1, sh } => write!(f, "srai {rd}, {rs1}, {sh}"),
+            Inst::Alu { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
+            Inst::AluImm { op, rd, rs1, imm } => match op.imm_form() {
+                Some(form) => write!(f, "{} {rd}, {rs1}, {imm}", form.mnemonic),
+                // Not encodable: `encode` rejects it.
+                None => write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic()),
+            },
             Inst::Movz { rd, imm16, sh16 } => write!(f, "movz {rd}, {imm16:#x}, lsl {}", sh16 * 16),
             Inst::Movk { rd, imm16, sh16 } => write!(f, "movk {rd}, {imm16:#x}, lsl {}", sh16 * 16),
             Inst::Load {
@@ -561,17 +586,7 @@ mod tests {
         assert!(Inst::ld(Reg::A0, Reg::SP, 0).is_load());
         assert!(Inst::sd(Reg::A0, Reg::SP, 0).is_store());
         assert!(Inst::Purge.is_system());
-        assert!(Inst::Jal {
-            rd: Reg::RA,
-            off: 8
-        }
-        .is_control_flow());
-        assert!(Inst::Mul {
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            rs2: Reg::A2
-        }
-        .is_muldiv_fp());
+        assert!(Inst::alu(AluOp::Mul, Reg::A0, Reg::A1, Reg::A2).is_muldiv_fp());
     }
 
     #[test]

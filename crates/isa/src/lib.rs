@@ -46,7 +46,7 @@ pub mod trap;
 
 pub use asm::{AsmError, Assembler, Label};
 pub use encode::{decode, encode, DecodeError, EncodeError};
-pub use inst::{BranchCond, CsrOp, Inst, MemWidth};
+pub use inst::{AluOp, BranchCond, CsrOp, ExecUnit, ImmField, ImmForm, Inst, MemWidth};
 pub use paging::{AccessKind, PageTableEntry, PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use privilege::PrivLevel;
 pub use reg::Reg;

@@ -250,11 +250,6 @@ impl TrapCause {
             }
         }
     }
-
-    /// Whether this is an interrupt.
-    pub const fn is_interrupt(self) -> bool {
-        matches!(self, TrapCause::Interrupt(_))
-    }
 }
 
 impl fmt::Display for TrapCause {
@@ -305,7 +300,6 @@ mod tests {
         for i in Interrupt::ALL {
             let c = TrapCause::Interrupt(i);
             assert_eq!(TrapCause::from_bits(c.to_bits()), Some(c));
-            assert!(c.is_interrupt());
         }
     }
 

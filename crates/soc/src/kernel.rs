@@ -17,7 +17,7 @@
 //! - anything unexpected escalates to machine mode.
 
 use mi6_isa::csr;
-use mi6_isa::{Assembler, CsrOp, Inst, Reg};
+use mi6_isa::{AluOp, Assembler, CsrOp, Inst, Reg};
 
 /// Physical/virtual address of the machine-mode stub (`mtvec`).
 pub const M_STUB_BASE: u64 = 0x1000;
@@ -164,11 +164,7 @@ pub fn build_kernel(timer_interval: u64) -> Vec<u32> {
     asm.li(Reg::T4, 64);
     let print_loop = asm.here();
     asm.push(Inst::ld(Reg::T5, Reg::T3, 0));
-    asm.push(Inst::Xor {
-        rd: Reg::T5,
-        rs1: Reg::T5,
-        rs2: Reg::T4,
-    });
+    asm.push(Inst::alu(AluOp::Xor, Reg::T5, Reg::T5, Reg::T4));
     asm.push(Inst::sd(Reg::T5, Reg::T3, 0));
     asm.push(Inst::addi(Reg::T3, Reg::T3, 8));
     asm.push(Inst::addi(Reg::T4, Reg::T4, -1));

@@ -18,7 +18,7 @@
 //! All sizes must be powers of two (wrap-around uses AND masks).
 
 use crate::profile::{BranchStyle, Profile, WorkloadParams};
-use mi6_isa::{Assembler, Inst, Reg};
+use mi6_isa::{AluOp, Assembler, Inst, Reg};
 use mi6_soc::kernel;
 use mi6_soc::loader::{Program, CODE_VA, DATA_VA};
 
@@ -126,60 +126,29 @@ pub fn generate(name: &str, profile: &Profile, params: &WorkloadParams) -> Progr
         asm.push(Inst::ld(Reg::T1, Reg::T0, 0));
         asm.push(Inst::add(regs::ACC, regs::ACC, Reg::T1));
         asm.push(Inst::addi(regs::STREAM_OFF, regs::STREAM_OFF, 64));
-        asm.push(Inst::And {
-            rd: regs::STREAM_OFF,
-            rs1: regs::STREAM_OFF,
-            rs2: regs::STREAM_MASK,
-        });
+        asm.push(Inst::alu(
+            AluOp::And,
+            regs::STREAM_OFF,
+            regs::STREAM_OFF,
+            regs::STREAM_MASK,
+        ));
     }
     // 2. pointer chase
     for _ in 0..profile.chase_nodes_per_iter {
         asm.push(Inst::ld(regs::CHASE, regs::CHASE, 0));
     }
     // advance the PRNG once per iteration (xorshift64)
-    asm.push(Inst::Srli {
-        rd: Reg::T0,
-        rs1: regs::RNG,
-        sh: 12,
-    });
-    asm.push(Inst::Xor {
-        rd: regs::RNG,
-        rs1: regs::RNG,
-        rs2: Reg::T0,
-    });
-    asm.push(Inst::Slli {
-        rd: Reg::T0,
-        rs1: regs::RNG,
-        sh: 25,
-    });
-    asm.push(Inst::Xor {
-        rd: regs::RNG,
-        rs1: regs::RNG,
-        rs2: Reg::T0,
-    });
-    asm.push(Inst::Srli {
-        rd: Reg::T0,
-        rs1: regs::RNG,
-        sh: 27,
-    });
-    asm.push(Inst::Xor {
-        rd: regs::RNG,
-        rs1: regs::RNG,
-        rs2: Reg::T0,
-    });
+    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::RNG, 12));
+    asm.push(Inst::alu(AluOp::Xor, regs::RNG, regs::RNG, Reg::T0));
+    asm.push(Inst::alu_imm(AluOp::Sll, Reg::T0, regs::RNG, 25));
+    asm.push(Inst::alu(AluOp::Xor, regs::RNG, regs::RNG, Reg::T0));
+    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::RNG, 27));
+    asm.push(Inst::alu(AluOp::Xor, regs::RNG, regs::RNG, Reg::T0));
     // 3. random working-set accesses
     for site in 0..profile.ws_accesses_per_iter {
-        let shift = 3 + (site % 13) as u8;
-        asm.push(Inst::Srli {
-            rd: Reg::T0,
-            rs1: regs::RNG,
-            sh: shift,
-        });
-        asm.push(Inst::And {
-            rd: Reg::T0,
-            rs1: Reg::T0,
-            rs2: regs::WS_MASK,
-        });
+        let shift = 3 + (site % 13) as i32;
+        asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::RNG, shift));
+        asm.push(Inst::alu(AluOp::And, Reg::T0, Reg::T0, regs::WS_MASK));
         asm.push(Inst::add(Reg::T0, regs::WS_BASE, Reg::T0));
         if site % 2 == 1 {
             asm.push(Inst::sd(regs::ACC, Reg::T0, 0));
@@ -196,33 +165,17 @@ pub fn generate(name: &str, profile: &Profile, params: &WorkloadParams) -> Progr
                 if site % 4 == 0 {
                     // A fresh pseudo-random bit per iteration: never
                     // predictable (sets the high baseline MPKI).
-                    let shift = (site % 48) as u8;
-                    asm.push(Inst::Srli {
-                        rd: Reg::T0,
-                        rs1: regs::RNG,
-                        sh: shift,
-                    });
-                    asm.push(Inst::Andi {
-                        rd: Reg::T0,
-                        rs1: Reg::T0,
-                        imm: 1,
-                    });
+                    let shift = (site % 48) as i32;
+                    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::RNG, shift));
+                    asm.push(Inst::alu_imm(AluOp::And, Reg::T0, Reg::T0, 1));
                 } else {
                     // Deep periodic patterns (period up to 64): learnable
                     // once the local/global histories warm up, so a purge
                     // costs real re-learning — the astar effect the paper
                     // measures in Figure 7.
-                    let shift = (site % 6) as u8;
-                    asm.push(Inst::Srli {
-                        rd: Reg::T0,
-                        rs1: regs::ITER,
-                        sh: shift,
-                    });
-                    asm.push(Inst::Andi {
-                        rd: Reg::T0,
-                        rs1: Reg::T0,
-                        imm: 1,
-                    });
+                    let shift = (site % 6) as i32;
+                    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::ITER, shift));
+                    asm.push(Inst::alu_imm(AluOp::And, Reg::T0, Reg::T0, 1));
                 }
             }
             BranchStyle::Medium => {
@@ -230,46 +183,22 @@ pub fn generate(name: &str, profile: &Profile, params: &WorkloadParams) -> Progr
                     // A sprinkling of data-dependent bits sets the
                     // realistic baseline MPKI (SPEC int codes sit near
                     // 10-20 MPKI on this predictor).
-                    let shift = (site % 48) as u8;
-                    asm.push(Inst::Srli {
-                        rd: Reg::T0,
-                        rs1: regs::RNG,
-                        sh: shift,
-                    });
-                    asm.push(Inst::Andi {
-                        rd: Reg::T0,
-                        rs1: Reg::T0,
-                        imm: 1,
-                    });
+                    let shift = (site % 48) as i32;
+                    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::RNG, shift));
+                    asm.push(Inst::alu_imm(AluOp::And, Reg::T0, Reg::T0, 1));
                 } else {
                     // Periodic in the iteration counter: learnable
                     // patterns of period 2..16 depending on the site.
-                    let shift = (site % 4) as u8;
-                    asm.push(Inst::Srli {
-                        rd: Reg::T0,
-                        rs1: regs::ITER,
-                        sh: shift,
-                    });
-                    asm.push(Inst::Andi {
-                        rd: Reg::T0,
-                        rs1: Reg::T0,
-                        imm: 1,
-                    });
+                    let shift = (site % 4) as i32;
+                    asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::ITER, shift));
+                    asm.push(Inst::alu_imm(AluOp::And, Reg::T0, Reg::T0, 1));
                 }
             }
             BranchStyle::Easy => {
                 // Long-period counter bit: almost always the same way.
-                let shift = 7 + (site % 3) as u8;
-                asm.push(Inst::Srli {
-                    rd: Reg::T0,
-                    rs1: regs::ITER,
-                    sh: shift,
-                });
-                asm.push(Inst::Andi {
-                    rd: Reg::T0,
-                    rs1: Reg::T0,
-                    imm: 1,
-                });
+                let shift = 7 + (site % 3) as i32;
+                asm.push(Inst::alu_imm(AluOp::Srl, Reg::T0, regs::ITER, shift));
+                asm.push(Inst::alu_imm(AluOp::And, Reg::T0, Reg::T0, 1));
             }
         }
         asm.beqz(Reg::T0, skip);
@@ -282,27 +211,20 @@ pub fn generate(name: &str, profile: &Profile, params: &WorkloadParams) -> Progr
         if op % 2 == 0 {
             asm.push(Inst::addi(r, r, 1));
         } else {
-            asm.push(Inst::Xori {
-                rd: r,
-                rs1: r,
-                imm: 0x55,
-            });
+            asm.push(Inst::alu_imm(AluOp::Xor, r, r, 0x55));
         }
     }
     // 6. multiply / divide
     for op in 0..profile.muldiv_ops {
         if op % 4 == 3 {
-            asm.push(Inst::Divu {
-                rd: Reg::T6,
-                rs1: regs::RNG,
-                rs2: regs::STREAM_MASK,
-            });
+            asm.push(Inst::alu(
+                AluOp::Divu,
+                Reg::T6,
+                regs::RNG,
+                regs::STREAM_MASK,
+            ));
         } else {
-            asm.push(Inst::Mul {
-                rd: Reg::T6,
-                rs1: regs::RNG,
-                rs2: regs::RNG,
-            });
+            asm.push(Inst::alu(AluOp::Mul, Reg::T6, regs::RNG, regs::RNG));
         }
     }
     // 7. periodic syscall

@@ -5,7 +5,7 @@
 //! (Figure 7 branch MPKI, Figure 9 LLC MPKI, the xalancbmk syscall rate,
 //! libquantum's streaming, mcf's pointer chasing, h264ref's ILP, astar's
 //! data-dependent branches, gcc's multi-megabyte sequentially-allocated
-//! working set). The generator in [`crate::generate`] lowers a profile to
+//! working set). The generator, [`crate::generate()`], lowers a profile to
 //! an assembled program.
 
 /// Scale of a generated run.

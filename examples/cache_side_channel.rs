@@ -19,7 +19,7 @@
 //!
 //! Run: `cargo run --release --example cache_side_channel`
 
-use mi6::isa::{Assembler, Inst, Reg};
+use mi6::isa::{AluOp, Assembler, Inst, Reg};
 use mi6::mem::RegionId;
 use mi6::monitor::SecurityMonitor;
 use mi6::soc::loader::{Program, CODE_VA, DATA_VA};
@@ -64,18 +64,10 @@ fn victim(noisy: bool) -> Program {
         asm.push(Inst::add(Reg::T2, Reg::S0, Reg::T0));
         asm.push(Inst::ld(Reg::T3, Reg::T2, 0));
         asm.push(Inst::addi(Reg::T0, Reg::T0, 64));
-        asm.push(Inst::And {
-            rd: Reg::T0,
-            rs1: Reg::T0,
-            rs2: Reg::S2,
-        });
+        asm.push(Inst::alu(AluOp::And, Reg::T0, Reg::T0, Reg::S2));
     } else {
         asm.push(Inst::addi(Reg::T2, Reg::T2, 1));
-        asm.push(Inst::Xori {
-            rd: Reg::T3,
-            rs1: Reg::T3,
-            imm: 5,
-        });
+        asm.push(Inst::alu_imm(AluOp::Xor, Reg::T3, Reg::T3, 5));
         asm.nops(2);
     }
     asm.jump(top);

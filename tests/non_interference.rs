@@ -3,7 +3,7 @@
 //! attacker enclave's timing *at all* (strong timing independence,
 //! Section 5.4); on BASE the same experiment shows a timing channel.
 
-use mi6::isa::{Assembler, Inst, Reg};
+use mi6::isa::{AluOp, Assembler, Inst, Reg};
 use mi6::mem::RegionId;
 use mi6::monitor::SecurityMonitor;
 use mi6::soc::loader::{Program, CODE_VA, DATA_VA};
@@ -48,22 +48,14 @@ fn victim(kind: u32) -> Program {
             asm.push(Inst::add(Reg::T2, Reg::S0, Reg::T0));
             asm.push(Inst::ld(Reg::T3, Reg::T2, 0));
             asm.push(Inst::addi(Reg::T0, Reg::T0, 64));
-            asm.push(Inst::And {
-                rd: Reg::T0,
-                rs1: Reg::T0,
-                rs2: Reg::S2,
-            });
+            asm.push(Inst::alu(AluOp::And, Reg::T0, Reg::T0, Reg::S2));
         }
         _ => {
             // store hammer (writebacks)
             asm.push(Inst::add(Reg::T2, Reg::S0, Reg::T0));
             asm.push(Inst::sd(Reg::T3, Reg::T2, 0));
             asm.push(Inst::addi(Reg::T0, Reg::T0, 4096));
-            asm.push(Inst::And {
-                rd: Reg::T0,
-                rs1: Reg::T0,
-                rs2: Reg::S2,
-            });
+            asm.push(Inst::alu(AluOp::And, Reg::T0, Reg::T0, Reg::S2));
         }
     }
     asm.jump(top);
