@@ -201,6 +201,19 @@ fn main() {
             exit(2);
         }
     }
+    // Read the baseline before any run: `--json` may be about to
+    // overwrite the same file, and a bad path should fail before the
+    // kernels spend their time.
+    let compare = compare_path.map(|path| {
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| baseline_cps(&doc))
+            .unwrap_or_else(|e| {
+                eprintln!("mi6-bench: cannot read baseline {path}: {e}");
+                exit(1);
+            });
+        (path, baseline)
+    });
     let params = WorkloadParams::evaluation().with_target_kinsts(kinsts);
     println!("mi6-bench: {kinsts}k instructions per kernel, best of {reps} rep(s), variant BASE");
     println!(
@@ -359,20 +372,13 @@ fn main() {
         });
         eprintln!("mi6-bench: wrote {path}");
     }
-    if let Some(path) = compare_path {
+    if let Some((path, baseline)) = compare {
         // Non-gating regression check against a committed baseline (the
         // repo-root BENCH_hotloop.json): warn when a kernel's cycles/sec
         // falls more than `COMPARE_THRESHOLD` percent below it, but always
         // exit 0 — shared CI runners are far too noisy to gate on, the
         // warning keeps the trajectory visible. The `::warning::` lines
         // surface as GitHub Actions annotations.
-        let baseline = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| baseline_cps(&doc))
-            .unwrap_or_else(|e| {
-                eprintln!("mi6-bench: cannot read baseline {path}: {e}");
-                exit(1);
-            });
         let floor = 1.0 - COMPARE_THRESHOLD / 100.0;
         for r in &rows {
             let (name, fresh) = (r.name, r.cycles as f64 / r.secs);

@@ -27,10 +27,11 @@
 //! (scheduler tick in cycles; default 250000), `--threads N` (default:
 //! all hardware threads), `--workload NAME` (repeatable; restrict or
 //! extend the workload set — `enclave-ws` runs the adversarial chase in
-//! a plain grid), `--json PATH` (append one JSON object per grid point;
-//! `-` makes stdout a pure JSONL stream and suppresses the figure
-//! tables), `--seeds N` (run every point with N workload seeds and
-//! report means with 95% Student-t confidence intervals), `--warmup N`
+//! a plain grid), `--json PATH` (append one JSON object per grid or
+//! scenario point; `-` makes stdout a pure JSONL stream and suppresses
+//! the figure and scenario tables), `--seeds N` (run every point with N
+//! workload seeds and report means with 95% Student-t confidence
+//! intervals), `--warmup N`
 //! (simulate each point's first N cycles once, keep the snapshot in an
 //! in-memory pool for the invocation, and start grid runs from the
 //! warmed state — results are bit-identical to cold runs), plus
@@ -411,9 +412,18 @@ fn merge_main(args: &[String]) {
     }
 }
 
+/// Tells stderr why `--json -` printed no tables.
+fn note_tables_suppressed() {
+    eprintln!("figure tables suppressed: stdout is the JSON stream (use --json FILE to get both)");
+}
+
 /// Plain and sharded grid runs (plus the scenario path).
 fn run_main(args: &[String]) {
     let cli = parse_args(args, false);
+    // `--json -` makes stdout a pure JSONL stream: the figure and
+    // scenario tables are suppressed so the output stays
+    // machine-parseable end to end.
+    let json_on_stdout = cli.json.as_deref() == Some("-");
     if cli.scenario.is_some() {
         eprintln!(
             "mi6-experiments: enclave-attacker scenario ({}k instructions)",
@@ -424,15 +434,19 @@ fn run_main(args: &[String]) {
             every: cli.metrics_every,
         });
         let points = scenario::run_enclave_attacker(&cli.opts, cli.threads, obs.as_ref());
-        scenario::render_enclave_attacker(&points);
-        // Always-on CPI accounting: show where the victim's cycles went
-        // per variant and colocation mode.
-        print!("{}", scenario::render_enclave_cpi(&points));
-        // With metrics on, follow the summary table with the time-series
-        // view the artifacts exist for: per-bucket MSHR occupancy and
-        // arbiter grants for victim vs attacker.
-        if obs.is_some() {
-            print!("{}", scenario::render_occupancy_timeline(&points));
+        if json_on_stdout {
+            note_tables_suppressed();
+        } else {
+            scenario::render_enclave_attacker(&points);
+            // Always-on CPI accounting: show where the victim's cycles
+            // went per variant and colocation mode.
+            print!("{}", scenario::render_enclave_cpi(&points));
+            // With metrics on, follow the summary table with the
+            // time-series view the artifacts exist for: per-bucket MSHR
+            // occupancy and arbiter grants for victim vs attacker.
+            if obs.is_some() {
+                print!("{}", scenario::render_occupancy_timeline(&points));
+            }
         }
         if let Some(mut out) = cli.json.as_deref().map(open_json) {
             for p in &points {
@@ -442,9 +456,6 @@ fn run_main(args: &[String]) {
         }
         return;
     }
-    // `--json -` makes stdout a pure JSONL stream: the figure tables are
-    // suppressed so the output stays machine-parseable end to end.
-    let json_on_stdout = cli.json.as_deref() == Some("-");
     let mut json = cli.json.as_deref().map(open_json);
 
     let plan = plan_grid(&cli.figures, cli.opts, cli.seeds, &cli.workloads);
@@ -607,9 +618,7 @@ fn run_main(args: &[String]) {
         exit(3);
     }
     if json_on_stdout {
-        eprintln!(
-            "figure tables suppressed: stdout is the JSON stream (use --json FILE to get both)"
-        );
+        note_tables_suppressed();
         return;
     }
     let results: Vec<_> = outcome

@@ -5,7 +5,7 @@
 //! shard journal stays readable whatever bytes its `--out` path holds.
 //! Every `--json` line either binary writes carries a CPI stack that
 //! `mi6-obs-check stacks` accepts, and `--json -` leaves only those lines
-//! on stdout.
+//! on stdout. `mi6-bench --compare` reads its baseline before any run.
 
 use std::ffi::OsStr;
 use std::path::Path;
@@ -191,16 +191,59 @@ fn every_json_stream_passes_the_stacks_checker() {
 
 #[test]
 fn json_dash_makes_stdout_a_pure_jsonl_stream() {
-    let out = output(&[
-        "--figure", "6", "--kinsts", "10", "--timer", "0", "--json", "-",
-    ]);
+    let tiny = ["--kinsts", "10", "--timer", "0", "--json", "-"];
+    // One line per unique point and nothing else: no figure, scenario or
+    // CPI table.
+    for (run, lines) in [
+        (["--figure", "6"], 11),
+        (["--scenario", "enclave-attacker"], 4),
+    ] {
+        let out = output(&[&run[..], &tiny].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(stdout.lines().count(), lines, "{run:?}: {stdout}");
+        for line in stdout.lines() {
+            mi6_obs::check_stacks_str(line).unwrap_or_else(|e| panic!("{run:?}: {e}"));
+        }
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("tables suppressed"), "{run:?}: {stderr}");
+    }
+}
+
+#[test]
+fn compare_reads_its_baseline_before_json_rewrites_it() {
+    let dir = std::env::temp_dir().join(format!("mi6-cli-compare-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("base.jsonl").display().to_string();
+    let kernel = ["--kinsts", "10", "--reps", "1", "--kernel", "mixed"];
+    let out = bench(&[&kernel[..], &["--json", &base]].concat());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // Claim a baseline 100 times faster than the run that wrote it.
+    let line = std::fs::read_to_string(&base).unwrap();
+    let obj = mi6_obs::json::parse_object(line.trim()).unwrap();
+    let cps = obj.get("cycles_per_sec").and_then(|v| v.as_f64()).unwrap();
+    let written = format!("\"cycles_per_sec\":{cps}");
+    assert!(line.contains(&written), "{line}");
+    let faster = format!("\"cycles_per_sec\":{}", cps * 100.0);
+    std::fs::write(&base, line.replace(&written, &faster)).unwrap();
+    // The same path as both: the fresh run must not compare with itself.
+    let out = bench(&[&kernel[..], &["--json", &base, "--compare", &base]].concat());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    // One line per unique point and nothing else: no figure or CPI table.
-    assert_eq!(stdout.lines().count(), 11, "{stdout}");
-    for line in stdout.lines() {
-        mi6_obs::check_stacks_str(line).unwrap_or_else(|e| panic!("{e}"));
-    }
+    assert!(stdout.contains("::warning::mi6-bench mixed"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_missing_baseline_fails_before_any_run() {
+    let missing = std::env::temp_dir().join(format!("mi6-cli-no-baseline-{}", std::process::id()));
+    let missing = missing.to_str().unwrap();
+    let out = bench(&["--kinsts", "10", "--reps", "1", "--compare", missing]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(stderr.contains("cannot read baseline"), "{stderr}");
 }
 
 #[test]

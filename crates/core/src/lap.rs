@@ -64,11 +64,4 @@ impl LapProfile {
     pub fn total(&self) -> u64 {
         self.nanos.iter().sum()
     }
-
-    /// Adds another core's laps into this one (multi-core aggregation).
-    pub fn merge(&mut self, other: &LapProfile) {
-        for (a, b) in self.nanos.iter_mut().zip(&other.nanos) {
-            *a += b;
-        }
-    }
 }

@@ -21,64 +21,128 @@ use crate::trap::Exception;
 use crate::trap::{Interrupt, TrapCause};
 use std::fmt;
 
-// ---- CSR addresses (12-bit space; top 2 bits encode required privilege) ----
+/// Declares the state-holding CSRs from one table with a row per CSR:
+/// its doc, [`CsrFile`] field, address constant, and optionally the bits
+/// a write keeps (`mask`, default all) and its reset value (`reset`,
+/// default 0). The table generates the address constants, [`CsrFile`],
+/// [`CsrFile::new`], the field lookup behind [`CsrFile::read`] and
+/// [`CsrFile::write`], and the snapshot codec, so the row order is the
+/// snapshot's wire order.
+macro_rules! csr_file {
+    (@or $default:tt) => { $default };
+    (@or $default:tt $value:expr) => { $value };
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $name:ident = $addr:literal
+        $(, mask $mask:expr)? $(, reset $reset:expr)?;
+    )+) => {
+        $($(#[$doc])* pub const $name: u16 = $addr;)+
 
-/// Machine status (MPP, SPP, MIE, SIE bits).
-pub const MSTATUS: u16 = 0x300;
-/// Machine exception delegation: bit = exception code delegated to S-mode.
-pub const MEDELEG: u16 = 0x302;
-/// Machine interrupt delegation.
-pub const MIDELEG: u16 = 0x303;
-/// Machine interrupt enable bits.
-pub const MIE: u16 = 0x304;
-/// Machine trap vector base.
-pub const MTVEC: u16 = 0x305;
-/// Machine scratch.
-pub const MSCRATCH: u16 = 0x340;
-/// Machine exception PC.
-pub const MEPC: u16 = 0x341;
-/// Machine trap cause.
-pub const MCAUSE: u16 = 0x342;
-/// Machine trap value (faulting address / instruction bits).
-pub const MTVAL: u16 = 0x343;
-/// Machine interrupt pending bits.
-pub const MIP: u16 = 0x344;
-/// MI6: DRAM-region access bitvector (machine-mode writable only).
-pub const MREGIONS: u16 = 0x7c0;
-/// MI6: machine-mode fetch window base (physical).
-pub const MFETCHBASE: u16 = 0x7c1;
-/// MI6: machine-mode fetch window bound (exclusive, physical).
-pub const MFETCHBOUND: u16 = 0x7c2;
-/// Machine timer compare value (simplified: a CSR rather than MMIO).
-pub const MTIMECMP: u16 = 0x7c3;
+        /// The architectural CSR file of one hardware thread.
+        ///
+        /// Holds trap state for machine and supervisor modes, the MI6 region
+        /// bitvector and fetch window, and the cycle/instret counters (which the
+        /// simulator updates, not software).
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct CsrFile {
+            $($(#[$doc])* pub $field: u64,)+
+        }
 
-/// Supervisor status (view of MSTATUS).
+        impl CsrFile {
+            /// A freshly reset CSR file: each CSR holds its row's `reset`
+            /// value, or 0. `mregions` resets to all ones, so every region
+            /// is accessible until the monitor configures it.
+            pub fn new() -> CsrFile {
+                CsrFile {
+                    $($field: csr_file!(@or 0 $($reset)?),)+
+                }
+            }
+
+            /// The value of the state-holding CSR at `csr`.
+            fn get(&self, csr: u16) -> Option<u64> {
+                match csr {
+                    $($name => Some(self.$field),)+
+                    _ => None,
+                }
+            }
+
+            /// The field behind the state-holding CSR at `csr`, and the bits
+            /// a write keeps.
+            fn field_mut(&mut self, csr: u16) -> Option<(&mut u64, u64)> {
+                match csr {
+                    $($name => Some((&mut self.$field, csr_file!(@or (!0) $($mask)?))),)+
+                    _ => None,
+                }
+            }
+        }
+
+        mi6_snapshot::snap_struct! { CsrFile { $($field),+ } }
+    };
+}
+
+// Addresses are 12 bits; bits 9:8 give the required privilege and bits
+// 11:10 == 0b11 mark a read-only CSR.
+csr_file! {
+    /// Machine status (MPP, SPP, MIE, SIE bits); [`SSTATUS`] is a masked view.
+    mstatus: MSTATUS = 0x300;
+    /// Machine exception delegation: bit = exception code delegated to S-mode.
+    medeleg: MEDELEG = 0x302;
+    /// Machine interrupt delegation.
+    mideleg: MIDELEG = 0x303;
+    /// Machine interrupt enable bits.
+    mie: MIE = 0x304;
+    /// Machine trap vector base.
+    mtvec: MTVEC = 0x305, mask !0b11;
+    /// Machine scratch.
+    mscratch: MSCRATCH = 0x340;
+    /// Machine exception PC.
+    mepc: MEPC = 0x341, mask !0b11;
+    /// Machine trap cause.
+    mcause: MCAUSE = 0x342;
+    /// Machine trap value (faulting address / instruction bits).
+    mtval: MTVAL = 0x343;
+    /// Machine interrupt pending bits.
+    mip: MIP = 0x344;
+    /// MI6: DRAM-region access bitvector, bit r = region r accessible
+    /// (machine-mode writable only).
+    mregions: MREGIONS = 0x7c0, reset u64::MAX;
+    /// MI6: machine-mode fetch window base (physical byte address).
+    mfetchbase: MFETCHBASE = 0x7c1;
+    /// MI6: machine-mode fetch window bound (exclusive, physical).
+    mfetchbound: MFETCHBOUND = 0x7c2, reset u64::MAX;
+    /// Machine timer compare value (simplified: a CSR rather than MMIO).
+    mtimecmp: MTIMECMP = 0x7c3, reset u64::MAX;
+    /// Supervisor trap vector base.
+    stvec: STVEC = 0x105, mask !0b11;
+    /// Supervisor scratch.
+    sscratch: SSCRATCH = 0x140;
+    /// Supervisor exception PC.
+    sepc: SEPC = 0x141, mask !0b11;
+    /// Supervisor trap cause.
+    scause: SCAUSE = 0x142;
+    /// Supervisor trap value.
+    stval: STVAL = 0x143;
+    /// Supervisor address translation and protection (page-table root | mode).
+    satp: SATP = 0x180;
+    /// Supervisor timer compare (simplified: a CSR rather than SBI/MMIO, so
+    /// the toy OS can drive its scheduler without bouncing through the
+    /// monitor).
+    stimecmp: STIMECMP = 0x150, reset u64::MAX;
+    /// Cycle counter (read-only from any privilege; maintained by the
+    /// simulator).
+    cycle: CYCLE = 0xc00;
+    /// Retired-instruction counter (read-only; maintained by the simulator).
+    instret: INSTRET = 0xc02;
+}
+
+// ---- views: CSRs that hold no state of their own ----
+
+/// Supervisor status: the supervisor bits of [`MSTATUS`].
 pub const SSTATUS: u16 = 0x100;
-/// Supervisor interrupt enable.
+/// Supervisor interrupt enable: the bits of [`MIE`] delegated in [`MIDELEG`].
 pub const SIE: u16 = 0x104;
-/// Supervisor trap vector base.
-pub const STVEC: u16 = 0x105;
-/// Supervisor scratch.
-pub const SSCRATCH: u16 = 0x140;
-/// Supervisor exception PC.
-pub const SEPC: u16 = 0x141;
-/// Supervisor trap cause.
-pub const SCAUSE: u16 = 0x142;
-/// Supervisor trap value.
-pub const STVAL: u16 = 0x143;
-/// Supervisor interrupt pending.
+/// Supervisor interrupt pending: the bits of [`MIP`] delegated in [`MIDELEG`].
 pub const SIP: u16 = 0x144;
-/// Supervisor address translation and protection (page-table root | mode).
-pub const SATP: u16 = 0x180;
-/// Supervisor timer compare (simplified: a CSR rather than SBI/MMIO, so
-/// the toy OS can drive its scheduler without bouncing through the
-/// monitor).
-pub const STIMECMP: u16 = 0x150;
-
-/// Cycle counter (read-only from any privilege).
-pub const CYCLE: u16 = 0xc00;
-/// Retired-instruction counter (read-only).
-pub const INSTRET: u16 = 0xc02;
 
 // ---- mstatus bit positions ----
 
@@ -147,77 +211,10 @@ pub const fn is_read_only(csr: u16) -> bool {
     (csr >> 10) & 0b11 == 0b11
 }
 
-/// The architectural CSR file of one hardware thread.
-///
-/// Holds trap state for machine and supervisor modes, the MI6 region
-/// bitvector and fetch window, and the cycle/instret counters (which the
-/// simulator updates, not software).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CsrFile {
-    /// `mstatus` (SSTATUS is a masked view).
-    pub mstatus: u64,
-    /// Exception delegation to supervisor mode.
-    pub medeleg: u64,
-    /// Interrupt delegation to supervisor mode.
-    pub mideleg: u64,
-    /// Machine interrupt enables.
-    pub mie: u64,
-    /// Machine trap vector.
-    pub mtvec: u64,
-    /// Machine scratch.
-    pub mscratch: u64,
-    /// Machine exception PC.
-    pub mepc: u64,
-    /// Machine cause.
-    pub mcause: u64,
-    /// Machine trap value.
-    pub mtval: u64,
-    /// Interrupt pending bits.
-    pub mip: u64,
-    /// MI6 DRAM-region bitvector (bit r = region r accessible).
-    pub mregions: u64,
-    /// MI6 machine-mode fetch window base (physical byte address).
-    pub mfetchbase: u64,
-    /// MI6 machine-mode fetch window bound (exclusive).
-    pub mfetchbound: u64,
-    /// Machine timer compare.
-    pub mtimecmp: u64,
-    /// Supervisor trap vector.
-    pub stvec: u64,
-    /// Supervisor scratch.
-    pub sscratch: u64,
-    /// Supervisor exception PC.
-    pub sepc: u64,
-    /// Supervisor cause.
-    pub scause: u64,
-    /// Supervisor trap value.
-    pub stval: u64,
-    /// Page-table root (physical page number) and translation mode.
-    pub satp: u64,
-    /// Supervisor timer compare.
-    pub stimecmp: u64,
-    /// Cycle counter (maintained by the simulator).
-    pub cycle: u64,
-    /// Retired instruction counter (maintained by the simulator).
-    pub instret: u64,
-}
-
 /// Bits of `mstatus`/`sstatus` visible and writable from supervisor mode.
 const SSTATUS_MASK: u64 = STATUS_SIE | STATUS_SPIE | STATUS_SPP;
 
 impl CsrFile {
-    /// A freshly reset CSR file: everything zero, `mregions` all-ones
-    /// (reset state allows all regions until the monitor configures it).
-    pub fn new() -> CsrFile {
-        CsrFile {
-            mregions: u64::MAX,
-            mfetchbound: u64::MAX,
-            mtimecmp: u64::MAX,
-            stimecmp: u64::MAX,
-            ..CsrFile::default()
-        }
-    }
-
     /// Reads a CSR, checking privilege.
     ///
     /// # Errors
@@ -231,40 +228,15 @@ impl CsrFile {
                 kind: CsrErrorKind::Privilege,
             });
         }
-        Ok(match csr {
-            MSTATUS => self.mstatus,
-            MEDELEG => self.medeleg,
-            MIDELEG => self.mideleg,
-            MIE => self.mie,
-            MTVEC => self.mtvec,
-            MSCRATCH => self.mscratch,
-            MEPC => self.mepc,
-            MCAUSE => self.mcause,
-            MTVAL => self.mtval,
-            MIP => self.mip,
-            MREGIONS => self.mregions,
-            MFETCHBASE => self.mfetchbase,
-            MFETCHBOUND => self.mfetchbound,
-            MTIMECMP => self.mtimecmp,
-            SSTATUS => self.mstatus & SSTATUS_MASK,
-            SIE => self.mie & self.mideleg,
-            STVEC => self.stvec,
-            SSCRATCH => self.sscratch,
-            SEPC => self.sepc,
-            SCAUSE => self.scause,
-            STVAL => self.stval,
-            SIP => self.mip & self.mideleg,
-            SATP => self.satp,
-            STIMECMP => self.stimecmp,
-            CYCLE => self.cycle,
-            INSTRET => self.instret,
-            _ => {
-                return Err(CsrError {
-                    csr,
-                    kind: CsrErrorKind::Unknown,
-                })
-            }
-        })
+        match csr {
+            SSTATUS => Ok(self.mstatus & SSTATUS_MASK),
+            SIE => Ok(self.mie & self.mideleg),
+            SIP => Ok(self.mip & self.mideleg),
+            _ => self.get(csr).ok_or(CsrError {
+                csr,
+                kind: CsrErrorKind::Unknown,
+            }),
+        }
     }
 
     /// Writes a CSR, checking privilege and read-only status.
@@ -286,44 +258,18 @@ impl CsrFile {
                 kind: CsrErrorKind::ReadOnly,
             });
         }
+        // A view replaces only its visible bits of the underlying CSR.
+        let merge = |old: u64, mask: u64| (old & !mask) | (value & mask);
         match csr {
-            MSTATUS => self.mstatus = value,
-            MEDELEG => self.medeleg = value,
-            MIDELEG => self.mideleg = value,
-            MIE => self.mie = value,
-            MTVEC => self.mtvec = value & !0b11,
-            MSCRATCH => self.mscratch = value,
-            MEPC => self.mepc = value & !0b11,
-            MCAUSE => self.mcause = value,
-            MTVAL => self.mtval = value,
-            MIP => self.mip = value,
-            MREGIONS => self.mregions = value,
-            MFETCHBASE => self.mfetchbase = value,
-            MFETCHBOUND => self.mfetchbound = value,
-            MTIMECMP => self.mtimecmp = value,
-            SSTATUS => {
-                self.mstatus = (self.mstatus & !SSTATUS_MASK) | (value & SSTATUS_MASK);
-            }
-            SIE => {
-                let mask = self.mideleg;
-                self.mie = (self.mie & !mask) | (value & mask);
-            }
-            STVEC => self.stvec = value & !0b11,
-            SSCRATCH => self.sscratch = value,
-            SEPC => self.sepc = value & !0b11,
-            SCAUSE => self.scause = value,
-            STVAL => self.stval = value,
-            SIP => {
-                let mask = self.mideleg;
-                self.mip = (self.mip & !mask) | (value & mask);
-            }
-            SATP => self.satp = value,
-            STIMECMP => self.stimecmp = value,
+            SSTATUS => self.mstatus = merge(self.mstatus, SSTATUS_MASK),
+            SIE => self.mie = merge(self.mie, self.mideleg),
+            SIP => self.mip = merge(self.mip, self.mideleg),
             _ => {
-                return Err(CsrError {
+                let (field, mask) = self.field_mut(csr).ok_or(CsrError {
                     csr,
                     kind: CsrErrorKind::Unknown,
-                })
+                })?;
+                *field = value & mask;
             }
         }
         Ok(())
@@ -502,6 +448,54 @@ impl CsrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every state-holding CSR with the bits a write keeps and its reset
+    /// value, written out.
+    const STATE: [(u16, u64, u64); 23] = [
+        (MSTATUS, !0, 0),
+        (MEDELEG, !0, 0),
+        (MIDELEG, !0, 0),
+        (MIE, !0, 0),
+        (MTVEC, !0b11, 0),
+        (MSCRATCH, !0, 0),
+        (MEPC, !0b11, 0),
+        (MCAUSE, !0, 0),
+        (MTVAL, !0, 0),
+        (MIP, !0, 0),
+        (MREGIONS, !0, u64::MAX),
+        (MFETCHBASE, !0, 0),
+        (MFETCHBOUND, !0, u64::MAX),
+        (MTIMECMP, !0, u64::MAX),
+        (STVEC, !0b11, 0),
+        (SSCRATCH, !0, 0),
+        (SEPC, !0b11, 0),
+        (SCAUSE, !0, 0),
+        (STVAL, !0, 0),
+        (SATP, !0, 0),
+        (STIMECMP, !0, u64::MAX),
+        (CYCLE, !0, 0),
+        (INSTRET, !0, 0),
+    ];
+
+    #[test]
+    fn table_csrs_reset_write_and_read_back() {
+        let mut csrs = CsrFile::new();
+        let value = 0x0123_4567_89ab_cdef;
+        for (csr, mask, reset) in STATE {
+            assert_eq!(csrs.read(csr, PrivLevel::Machine), Ok(reset), "{csr:#x}");
+            match csrs.write(csr, value, PrivLevel::Machine) {
+                Ok(()) => assert_eq!(csrs.read(csr, PrivLevel::Machine), Ok(value & mask)),
+                Err(e) => assert_eq!((csr >> 10, e.kind), (0b11, CsrErrorKind::ReadOnly)),
+            }
+        }
+        for csr in 0..0x1000 {
+            if STATE.iter().any(|&(c, ..)| c == csr) || [SSTATUS, SIE, SIP].contains(&csr) {
+                continue;
+            }
+            let err = csrs.read(csr, PrivLevel::Machine).unwrap_err();
+            assert_eq!(err.kind, CsrErrorKind::Unknown, "{csr:#x}");
+        }
+    }
 
     #[test]
     fn privilege_gating() {

@@ -108,43 +108,102 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Opcode values. Grouped by format; the decoder matches on these.
-// Opcodes 0..=27 belong to the `AluOp` table: its register forms are
-// 0..=18 and its immediate forms 19..=27.
-mod op {
-    pub const MOVZ: u32 = 28;
-    pub const MOVK: u32 = 29;
-    pub const LB: u32 = 30;
-    pub const LBU: u32 = 31;
-    pub const LH: u32 = 32;
-    pub const LHU: u32 = 33;
-    pub const LW: u32 = 34;
-    pub const LWU: u32 = 35;
-    pub const LD: u32 = 36;
-    pub const SB: u32 = 37;
-    pub const SH: u32 = 38;
-    pub const SW: u32 = 39;
-    pub const SD: u32 = 40;
-    pub const BEQ: u32 = 41;
-    pub const BNE: u32 = 42;
-    pub const BLT: u32 = 43;
-    pub const BGE: u32 = 44;
-    pub const BLTU: u32 = 45;
-    pub const BGEU: u32 = 46;
-    pub const JAL: u32 = 47;
-    pub const JALR: u32 = 48;
-    pub const ECALL: u32 = 49;
-    pub const EBREAK: u32 = 50;
-    pub const SRET: u32 = 51;
-    pub const MRET: u32 = 52;
-    pub const WFI: u32 = 53;
-    pub const FENCE: u32 = 54;
-    pub const FENCEI: u32 = 55;
-    pub const SFENCE: u32 = 56;
-    pub const CSRRW: u32 = 57;
-    pub const CSRRS: u32 = 58;
-    pub const CSRRC: u32 = 59;
-    pub const PURGE: u32 = 60;
+/// What a non-ALU opcode selects: an instruction form, with the width
+/// and signedness, condition or CSR operation within it; for an
+/// instruction without operands, the instruction itself.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Movz,
+    Movk,
+    Load(MemWidth, bool),
+    Store(MemWidth),
+    Branch(BranchCond),
+    Jal,
+    Jalr,
+    Bare(Inst),
+    Csr(CsrOp),
+}
+
+/// The first opcode after the [`AluOp`] table's: its register forms are
+/// 0..=18 and its immediate forms 19..=27.
+const FIRST_FORM_OPCODE: u32 = 28;
+
+/// Every non-ALU form and its mnemonic, in opcode order: row `i` has
+/// opcode `FIRST_FORM_OPCODE + i`. Snapshots store encoded words, so the
+/// row order is an on-disk contract.
+const FORMS: [(Form, &str); 33] = [
+    (Form::Movz, "movz"),
+    (Form::Movk, "movk"),
+    (Form::Load(MemWidth::B, true), "lb"),
+    (Form::Load(MemWidth::B, false), "lbu"),
+    (Form::Load(MemWidth::H, true), "lh"),
+    (Form::Load(MemWidth::H, false), "lhu"),
+    (Form::Load(MemWidth::W, true), "lw"),
+    (Form::Load(MemWidth::W, false), "lwu"),
+    (Form::Load(MemWidth::D, true), "ld"),
+    (Form::Store(MemWidth::B), "sb"),
+    (Form::Store(MemWidth::H), "sh"),
+    (Form::Store(MemWidth::W), "sw"),
+    (Form::Store(MemWidth::D), "sd"),
+    (Form::Branch(BranchCond::Eq), "beq"),
+    (Form::Branch(BranchCond::Ne), "bne"),
+    (Form::Branch(BranchCond::Lt), "blt"),
+    (Form::Branch(BranchCond::Ge), "bge"),
+    (Form::Branch(BranchCond::Ltu), "bltu"),
+    (Form::Branch(BranchCond::Geu), "bgeu"),
+    (Form::Jal, "jal"),
+    (Form::Jalr, "jalr"),
+    (Form::Bare(Inst::Ecall), "ecall"),
+    (Form::Bare(Inst::Ebreak), "ebreak"),
+    (Form::Bare(Inst::Sret), "sret"),
+    (Form::Bare(Inst::Mret), "mret"),
+    (Form::Bare(Inst::Wfi), "wfi"),
+    (Form::Bare(Inst::Fence), "fence"),
+    (Form::Bare(Inst::FenceI), "fence.i"),
+    (Form::Bare(Inst::SfenceVma), "sfence.vma"),
+    (Form::Csr(CsrOp::Rw), "csrrw"),
+    (Form::Csr(CsrOp::Rs), "csrrs"),
+    (Form::Csr(CsrOp::Rc), "csrrc"),
+    (Form::Bare(Inst::Purge), "purge"),
+];
+
+impl Form {
+    /// The opcode and mnemonic of a non-ALU instruction.
+    ///
+    /// # Panics
+    ///
+    /// On an [`Inst::Alu`] or [`Inst::AluImm`]: their opcodes come from
+    /// the [`AluOp`] table.
+    fn row(inst: Inst) -> (u32, &'static str) {
+        let form = match inst {
+            Inst::Alu { .. } | Inst::AluImm { .. } => unreachable!("`{inst}` has an ALU opcode"),
+            Inst::Movz { .. } => Form::Movz,
+            Inst::Movk { .. } => Form::Movk,
+            // A 64-bit load has nothing to extend: `ld` is its one opcode.
+            Inst::Load { width, signed, .. } => Form::Load(width, signed || width.bytes() == 8),
+            Inst::Store { width, .. } => Form::Store(width),
+            Inst::Branch { cond, .. } => Form::Branch(cond),
+            Inst::Jal { .. } => Form::Jal,
+            Inst::Jalr { .. } => Form::Jalr,
+            Inst::Csr { op, .. } => Form::Csr(op),
+            bare => Form::Bare(bare),
+        };
+        let i = FORMS
+            .iter()
+            .position(|&(f, _)| f == form)
+            .expect("every non-ALU form has a row");
+        (FIRST_FORM_OPCODE + i as u32, FORMS[i].1)
+    }
+}
+
+/// The mnemonic [`Inst`]'s `Display` prints: an [`Inst::AluImm`] whose
+/// operation has no immediate form gets the register form's.
+pub(crate) fn mnemonic(inst: Inst) -> &'static str {
+    match inst {
+        Inst::Alu { op, .. } => op.mnemonic(),
+        Inst::AluImm { op, .. } => op.imm_form().map_or(op.mnemonic(), |form| form.mnemonic),
+        _ => Form::row(inst).1,
+    }
 }
 
 fn fits_signed(value: i64, bits: u32) -> bool {
@@ -168,13 +227,10 @@ fn check_word_off(inst: Inst, off: i32, bits: u32) -> Result<u32, EncodeError> {
     check_imm(inst, (off / 4) as i64, bits)
 }
 
-fn r(op: u32, rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
-    op | (rd.index() as u32) << 6 | (rs1.index() as u32) << 11 | (rs2.index() as u32) << 16
-}
-
-fn i_type(inst: Inst, op: u32, rd: Reg, rs1: Reg, imm: i32) -> Result<u32, EncodeError> {
-    let imm16 = check_imm(inst, imm as i64, 16)?;
-    Ok(op | (rd.index() as u32) << 6 | (rs1.index() as u32) << 11 | imm16 << 16)
+/// Packs `opcode`, register fields `a` in `[10:6]` and `b` in `[15:11]`,
+/// and `hi` in the bits above.
+fn pack(opcode: u32, a: Reg, b: Reg, hi: u32) -> u32 {
+    opcode | (a.index() as u32) << 6 | (b.index() as u32) << 11 | hi << 16
 }
 
 /// Encodes an instruction to its 32-bit word.
@@ -186,124 +242,49 @@ fn i_type(inst: Inst, op: u32, rd: Reg, rs1: Reg, imm: i32) -> Result<u32, Encod
 /// operation has no immediate form.
 pub fn encode(inst: Inst) -> Result<u32, EncodeError> {
     use Inst::*;
+    let opcode = match inst {
+        Alu { op, .. } => op as u32,
+        AluImm { op, .. } => {
+            op.imm_form()
+                .ok_or(EncodeError::NoImmediateForm { inst })?
+                .opcode
+        }
+        _ => Form::row(inst).0,
+    };
     Ok(match inst {
-        Alu { op, rd, rs1, rs2 } => r(op as u32, rd, rs1, rs2),
+        Alu { rd, rs1, rs2, .. } => pack(opcode, rd, rs1, rs2.index() as u32),
         AluImm { op, rd, rs1, imm } => {
-            let form = op.imm_form().ok_or(EncodeError::NoImmediateForm { inst })?;
-            if form.field == ImmField::Shamt && !(0..64).contains(&imm) {
+            let shamt = op
+                .imm_form()
+                .is_some_and(|form| form.field == ImmField::Shamt);
+            if shamt && !(0..64).contains(&imm) {
                 return Err(EncodeError::ShiftTooLarge { inst, sh: imm });
             }
-            i_type(inst, form.opcode, rd, rs1, imm)?
+            pack(opcode, rd, rs1, check_imm(inst, imm as i64, 16)?)
         }
-        Movz { rd, imm16, sh16 } => {
+        Movz { rd, imm16, sh16 } | Movk { rd, imm16, sh16 } => {
             debug_assert!(sh16 < 4);
-            op::MOVZ | (rd.index() as u32) << 6 | ((sh16 & 3) as u32) << 11 | (imm16 as u32) << 16
+            opcode | (rd.index() as u32) << 6 | ((sh16 & 3) as u32) << 11 | (imm16 as u32) << 16
         }
-        Movk { rd, imm16, sh16 } => {
-            debug_assert!(sh16 < 4);
-            op::MOVK | (rd.index() as u32) << 6 | ((sh16 & 3) as u32) << 11 | (imm16 as u32) << 16
+        Load { rd, rs1, off, .. } | Jalr { rd, rs1, off } => {
+            pack(opcode, rd, rs1, check_imm(inst, off as i64, 16)?)
         }
-        Load {
-            rd,
-            rs1,
-            off,
-            width,
-            signed,
-        } => {
-            let o = match (width, signed) {
-                (MemWidth::B, true) => op::LB,
-                (MemWidth::B, false) => op::LBU,
-                (MemWidth::H, true) => op::LH,
-                (MemWidth::H, false) => op::LHU,
-                (MemWidth::W, true) => op::LW,
-                (MemWidth::W, false) => op::LWU,
-                (MemWidth::D, _) => op::LD,
-            };
-            i_type(inst, o, rd, rs1, off)?
-        }
-        Store {
-            rs2,
-            rs1,
-            off,
-            width,
-        } => {
-            let o = match width {
-                MemWidth::B => op::SB,
-                MemWidth::H => op::SH,
-                MemWidth::W => op::SW,
-                MemWidth::D => op::SD,
-            };
-            i_type(inst, o, rs2, rs1, off)?
-        }
-        Branch {
-            cond,
-            rs1,
-            rs2,
-            off,
-        } => {
-            let o = match cond {
-                BranchCond::Eq => op::BEQ,
-                BranchCond::Ne => op::BNE,
-                BranchCond::Lt => op::BLT,
-                BranchCond::Ge => op::BGE,
-                BranchCond::Ltu => op::BLTU,
-                BranchCond::Geu => op::BGEU,
-            };
-            let w = check_word_off(inst, off, 16)?;
-            o | (rs1.index() as u32) << 6 | (rs2.index() as u32) << 11 | w << 16
-        }
-        Jal { rd, off } => {
-            let w = check_word_off(inst, off, 21)?;
-            op::JAL | (rd.index() as u32) << 6 | w << 11
-        }
-        Jalr { rd, rs1, off } => i_type(inst, op::JALR, rd, rs1, off)?,
-        Ecall => op::ECALL,
-        Ebreak => op::EBREAK,
-        Sret => op::SRET,
-        Mret => op::MRET,
-        Wfi => op::WFI,
-        Fence => op::FENCE,
-        FenceI => op::FENCEI,
-        SfenceVma => op::SFENCE,
-        Csr {
-            op: csr_op,
-            rd,
-            rs1,
-            csr,
-        } => {
+        Store { rs2, rs1, off, .. } => pack(opcode, rs2, rs1, check_imm(inst, off as i64, 16)?),
+        Branch { rs1, rs2, off, .. } => pack(opcode, rs1, rs2, check_word_off(inst, off, 16)?),
+        Jal { rd, off } => opcode | (rd.index() as u32) << 6 | check_word_off(inst, off, 21)? << 11,
+        Csr { rd, rs1, csr, .. } => {
             if csr >= 1 << 12 {
                 return Err(EncodeError::CsrOutOfRange { csr });
             }
-            let o = match csr_op {
-                CsrOp::Rw => op::CSRRW,
-                CsrOp::Rs => op::CSRRS,
-                CsrOp::Rc => op::CSRRC,
-            };
-            o | (rd.index() as u32) << 6 | (rs1.index() as u32) << 11 | (csr as u32) << 16
+            pack(opcode, rd, rs1, csr as u32)
         }
-        Purge => op::PURGE,
+        _ => opcode,
     })
 }
 
 fn sext(value: u32, bits: u32) -> i32 {
     let shift = 32 - bits;
     ((value << shift) as i32) >> shift
-}
-
-fn field_rd(word: u32) -> Reg {
-    Reg::new(((word >> 6) & 0x1f) as u8)
-}
-
-fn field_rs1(word: u32) -> Reg {
-    Reg::new(((word >> 11) & 0x1f) as u8)
-}
-
-fn field_rs2(word: u32) -> Reg {
-    Reg::new(((word >> 16) & 0x1f) as u8)
-}
-
-fn field_imm16(word: u32) -> i32 {
-    sext(word >> 16, 16)
 }
 
 /// Decodes a 32-bit word into an instruction.
@@ -313,11 +294,11 @@ fn field_imm16(word: u32) -> i32 {
 /// Returns [`DecodeError`] when the opcode is unassigned.
 pub fn decode(word: u32) -> Result<Inst, DecodeError> {
     let opcode = word & 0x3f;
-    let rd = field_rd(word);
-    let rs1 = field_rs1(word);
-    let imm = field_imm16(word);
+    let rd = Reg::new(((word >> 6) & 0x1f) as u8);
+    let rs1 = Reg::new(((word >> 11) & 0x1f) as u8);
+    let imm = sext(word >> 16, 16);
     if let Some(&op) = AluOp::ALL.get(opcode as usize) {
-        let rs2 = field_rs2(word);
+        let rs2 = Reg::new(((word >> 16) & 0x1f) as u8);
         return Ok(Inst::Alu { op, rd, rs1, rs2 });
     }
     if let Some(op) = AluOp::from_imm_opcode(opcode) {
@@ -327,90 +308,46 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
         };
         return Ok(Inst::AluImm { op, rd, rs1, imm });
     }
-    Ok(match opcode {
-        op::MOVZ => Inst::Movz {
+    let (form, _) = opcode
+        .checked_sub(FIRST_FORM_OPCODE)
+        .and_then(|i| FORMS.get(i as usize))
+        .ok_or(DecodeError { word })?;
+    let (imm16, sh16) = ((word >> 16) as u16, ((word >> 11) & 3) as u8);
+    Ok(match *form {
+        Form::Movz => Inst::Movz { rd, imm16, sh16 },
+        Form::Movk => Inst::Movk { rd, imm16, sh16 },
+        Form::Load(width, signed) => Inst::Load {
             rd,
-            imm16: (word >> 16) as u16,
-            sh16: ((word >> 11) & 3) as u8,
+            rs1,
+            off: imm,
+            width,
+            signed,
         },
-        op::MOVK => Inst::Movk {
-            rd,
-            imm16: (word >> 16) as u16,
-            sh16: ((word >> 11) & 3) as u8,
+        Form::Store(width) => Inst::Store {
+            rs2: rd,
+            rs1,
+            off: imm,
+            width,
         },
-        op::LB => load(rd, rs1, imm, MemWidth::B, true),
-        op::LBU => load(rd, rs1, imm, MemWidth::B, false),
-        op::LH => load(rd, rs1, imm, MemWidth::H, true),
-        op::LHU => load(rd, rs1, imm, MemWidth::H, false),
-        op::LW => load(rd, rs1, imm, MemWidth::W, true),
-        op::LWU => load(rd, rs1, imm, MemWidth::W, false),
-        op::LD => load(rd, rs1, imm, MemWidth::D, true),
-        op::SB => store(rd, rs1, imm, MemWidth::B),
-        op::SH => store(rd, rs1, imm, MemWidth::H),
-        op::SW => store(rd, rs1, imm, MemWidth::W),
-        op::SD => store(rd, rs1, imm, MemWidth::D),
-        op::BEQ => branch(BranchCond::Eq, word),
-        op::BNE => branch(BranchCond::Ne, word),
-        op::BLT => branch(BranchCond::Lt, word),
-        op::BGE => branch(BranchCond::Ge, word),
-        op::BLTU => branch(BranchCond::Ltu, word),
-        op::BGEU => branch(BranchCond::Geu, word),
-        op::JAL => Inst::Jal {
+        Form::Branch(cond) => Inst::Branch {
+            cond,
+            rs1: rd,
+            rs2: rs1,
+            off: imm * 4,
+        },
+        Form::Jal => Inst::Jal {
             rd,
             off: sext(word >> 11, 21) * 4,
         },
-        op::JALR => Inst::Jalr { rd, rs1, off: imm },
-        op::ECALL => Inst::Ecall,
-        op::EBREAK => Inst::Ebreak,
-        op::SRET => Inst::Sret,
-        op::MRET => Inst::Mret,
-        op::WFI => Inst::Wfi,
-        op::FENCE => Inst::Fence,
-        op::FENCEI => Inst::FenceI,
-        op::SFENCE => Inst::SfenceVma,
-        op::CSRRW => csr_inst(CsrOp::Rw, word),
-        op::CSRRS => csr_inst(CsrOp::Rs, word),
-        op::CSRRC => csr_inst(CsrOp::Rc, word),
-        op::PURGE => Inst::Purge,
-        _ => return Err(DecodeError { word }),
+        Form::Jalr => Inst::Jalr { rd, rs1, off: imm },
+        Form::Bare(inst) => inst,
+        Form::Csr(op) => Inst::Csr {
+            op,
+            rd,
+            rs1,
+            csr: ((word >> 16) & 0xfff) as u16,
+        },
     })
-}
-
-fn load(rd: Reg, rs1: Reg, off: i32, width: MemWidth, signed: bool) -> Inst {
-    Inst::Load {
-        rd,
-        rs1,
-        off,
-        width,
-        signed,
-    }
-}
-
-fn store(rs2: Reg, rs1: Reg, off: i32, width: MemWidth) -> Inst {
-    Inst::Store {
-        rs2,
-        rs1,
-        off,
-        width,
-    }
-}
-
-fn branch(cond: BranchCond, word: u32) -> Inst {
-    Inst::Branch {
-        cond,
-        rs1: field_rd(word),
-        rs2: field_rs1(word),
-        off: field_imm16(word) * 4,
-    }
-}
-
-fn csr_inst(op: CsrOp, word: u32) -> Inst {
-    Inst::Csr {
-        op,
-        rd: field_rd(word),
-        rs1: field_rs1(word),
-        csr: ((word >> 16) & 0xfff) as u16,
-    }
 }
 
 #[cfg(test)]
@@ -503,6 +440,106 @@ mod tests {
                 assert_eq!(encode(inst), Err(EncodeError::NoImmediateForm { inst }));
             }
         }
+    }
+
+    /// The same contract for every other form: each word is written out
+    /// from the module-doc layout (`-8` is `0xfff8` as a 16-bit byte
+    /// offset, `0xfffe` as 16-bit and `0x1ffffe` as 21-bit word offsets).
+    #[test]
+    fn form_words_keep_their_encoding() {
+        use {BranchCond::*, CsrOp::*, MemWidth::*};
+        let (a0, a1) = (Reg::A0, Reg::A1);
+        let (rd, rs1, off) = (10 << 6, 11 << 11, 0xfff8 << 16);
+        let load = |width, signed| Inst::Load {
+            rd: a0,
+            rs1: a1,
+            off: -8,
+            width,
+            signed,
+        };
+        let store = |width| Inst::Store {
+            rs2: a0,
+            rs1: a1,
+            off: -8,
+            width,
+        };
+        let branch = |cond| Inst::Branch {
+            cond,
+            rs1: a0,
+            rs2: a1,
+            off: -8,
+        };
+        let csr = |op| Inst::Csr {
+            op,
+            rd: a0,
+            rs1: a1,
+            csr: 0x342,
+        };
+        let (imm16, sh16) = (0xbeef, 3);
+        let cases = [
+            (
+                Inst::Movz {
+                    rd: a0,
+                    imm16,
+                    sh16,
+                },
+                28 | rd | 3 << 11 | 0xbeef << 16,
+            ),
+            (
+                Inst::Movk {
+                    rd: a0,
+                    imm16,
+                    sh16,
+                },
+                29 | rd | 3 << 11 | 0xbeef << 16,
+            ),
+            (load(B, true), 30 | rd | rs1 | off),
+            (load(B, false), 31 | rd | rs1 | off),
+            (load(H, true), 32 | rd | rs1 | off),
+            (load(H, false), 33 | rd | rs1 | off),
+            (load(W, true), 34 | rd | rs1 | off),
+            (load(W, false), 35 | rd | rs1 | off),
+            (load(D, true), 36 | rd | rs1 | off),
+            (store(B), 37 | rd | rs1 | off),
+            (store(H), 38 | rd | rs1 | off),
+            (store(W), 39 | rd | rs1 | off),
+            (store(D), 40 | rd | rs1 | off),
+            (branch(Eq), 41 | rd | rs1 | 0xfffe << 16),
+            (branch(Ne), 42 | rd | rs1 | 0xfffe << 16),
+            (branch(Lt), 43 | rd | rs1 | 0xfffe << 16),
+            (branch(Ge), 44 | rd | rs1 | 0xfffe << 16),
+            (branch(Ltu), 45 | rd | rs1 | 0xfffe << 16),
+            (branch(Geu), 46 | rd | rs1 | 0xfffe << 16),
+            (Inst::Jal { rd: a0, off: -8 }, 47 | rd | 0x1ffffe << 11),
+            (
+                Inst::Jalr {
+                    rd: a0,
+                    rs1: a1,
+                    off: -8,
+                },
+                48 | rd | rs1 | off,
+            ),
+            (Inst::Ecall, 49),
+            (Inst::Ebreak, 50),
+            (Inst::Sret, 51),
+            (Inst::Mret, 52),
+            (Inst::Wfi, 53),
+            (Inst::Fence, 54),
+            (Inst::FenceI, 55),
+            (Inst::SfenceVma, 56),
+            (csr(Rw), 57 | rd | rs1 | 0x342 << 16),
+            (csr(Rs), 58 | rd | rs1 | 0x342 << 16),
+            (csr(Rc), 59 | rd | rs1 | 0x342 << 16),
+            (Inst::Purge, 60),
+        ];
+        let opcodes: Vec<u32> = cases.iter().map(|&(_, word)| word & 0x3f).collect();
+        assert_eq!(opcodes, (28..=60).collect::<Vec<u32>>());
+        for (inst, word) in cases {
+            assert_eq!(encode(inst), Ok(word), "`{inst}`");
+            assert_eq!(decode(word), Ok(inst), "{word:#010x}");
+        }
+        // A 64-bit load has nothing to extend, so no unsigned opcode.
+        assert_eq!(encode(load(D, false)), encode(load(D, true)));
     }
 
     #[test]

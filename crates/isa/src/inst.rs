@@ -485,80 +485,25 @@ impl Inst {
 
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = crate::encode::mnemonic(*self);
         match *self {
-            Inst::Alu { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
-            Inst::AluImm { op, rd, rs1, imm } => match op.imm_form() {
-                Some(form) => write!(f, "{} {rd}, {rs1}, {imm}", form.mnemonic),
-                // Not encodable: `encode` rejects it.
-                None => write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic()),
-            },
-            Inst::Movz { rd, imm16, sh16 } => write!(f, "movz {rd}, {imm16:#x}, lsl {}", sh16 * 16),
-            Inst::Movk { rd, imm16, sh16 } => write!(f, "movk {rd}, {imm16:#x}, lsl {}", sh16 * 16),
-            Inst::Load {
-                rd,
-                rs1,
-                off,
-                width,
-                signed,
-            } => {
-                let u = if signed { "" } else { "u" };
-                let w = match width {
-                    MemWidth::B => "b",
-                    MemWidth::H => "h",
-                    MemWidth::W => "w",
-                    MemWidth::D => "d",
-                };
-                write!(f, "l{w}{u} {rd}, {off}({rs1})")
+            Inst::Alu { rd, rs1, rs2, .. } => write!(f, "{m} {rd}, {rs1}, {rs2}"),
+            Inst::AluImm { op, rd, rs1, imm } => {
+                // Without an immediate form, not encodable: `encode` rejects it.
+                let i = if op.imm_form().is_none() { "i" } else { "" };
+                write!(f, "{m}{i} {rd}, {rs1}, {imm}")
             }
-            Inst::Store {
-                rs2,
-                rs1,
-                off,
-                width,
-            } => {
-                let w = match width {
-                    MemWidth::B => "b",
-                    MemWidth::H => "h",
-                    MemWidth::W => "w",
-                    MemWidth::D => "d",
-                };
-                write!(f, "s{w} {rs2}, {off}({rs1})")
+            Inst::Movz { rd, imm16, sh16 } | Inst::Movk { rd, imm16, sh16 } => {
+                write!(f, "{m} {rd}, {imm16:#x}, lsl {}", sh16 * 16)
             }
-            Inst::Branch {
-                cond,
-                rs1,
-                rs2,
-                off,
-            } => {
-                let c = match cond {
-                    BranchCond::Eq => "beq",
-                    BranchCond::Ne => "bne",
-                    BranchCond::Lt => "blt",
-                    BranchCond::Ge => "bge",
-                    BranchCond::Ltu => "bltu",
-                    BranchCond::Geu => "bgeu",
-                };
-                write!(f, "{c} {rs1}, {rs2}, {off}")
+            Inst::Load { rd, rs1, off, .. } | Inst::Jalr { rd, rs1, off } => {
+                write!(f, "{m} {rd}, {off}({rs1})")
             }
-            Inst::Jal { rd, off } => write!(f, "jal {rd}, {off}"),
-            Inst::Jalr { rd, rs1, off } => write!(f, "jalr {rd}, {off}({rs1})"),
-            Inst::Ecall => f.write_str("ecall"),
-            Inst::Ebreak => f.write_str("ebreak"),
-            Inst::Sret => f.write_str("sret"),
-            Inst::Mret => f.write_str("mret"),
-            Inst::Wfi => f.write_str("wfi"),
-            Inst::Fence => f.write_str("fence"),
-            Inst::FenceI => f.write_str("fence.i"),
-            Inst::SfenceVma => f.write_str("sfence.vma"),
-            Inst::Csr { op, rd, rs1, csr } => {
-                let o = match op {
-                    CsrOp::Rw => "csrrw",
-                    CsrOp::Rs => "csrrs",
-                    CsrOp::Rc => "csrrc",
-                };
-                write!(f, "{o} {rd}, {csr:#x}, {rs1}")
-            }
-            Inst::Purge => f.write_str("purge"),
+            Inst::Store { rs2, rs1, off, .. } => write!(f, "{m} {rs2}, {off}({rs1})"),
+            Inst::Branch { rs1, rs2, off, .. } => write!(f, "{m} {rs1}, {rs2}, {off}"),
+            Inst::Jal { rd, off } => write!(f, "{m} {rd}, {off}"),
+            Inst::Csr { rd, rs1, csr, .. } => write!(f, "{m} {rd}, {csr:#x}, {rs1}"),
+            _ => f.write_str(m),
         }
     }
 }
@@ -614,6 +559,104 @@ mod tests {
         let (s1, s2) = i.sources();
         assert_eq!(s1, Some(Reg::SP));
         assert_eq!(s2, Some(Reg::A1));
+    }
+
+    /// One instance of every form prints its mnemonic and operands.
+    #[test]
+    fn every_form_displays() {
+        use {BranchCond::*, CsrOp::*, MemWidth::*};
+        let (a0, a1) = (Reg::A0, Reg::A1);
+        let load = |width, signed| Inst::Load {
+            rd: a0,
+            rs1: a1,
+            off: -8,
+            width,
+            signed,
+        };
+        let store = |width| Inst::Store {
+            rs2: a0,
+            rs1: a1,
+            off: -8,
+            width,
+        };
+        let branch = |cond| Inst::Branch {
+            cond,
+            rs1: a0,
+            rs2: a1,
+            off: -8,
+        };
+        let csr = |op| Inst::Csr {
+            op,
+            rd: a0,
+            rs1: a1,
+            csr: 0x342,
+        };
+        let (imm16, sh16) = (0xbeef, 3);
+        let cases = [
+            (Inst::alu(AluOp::Sltu, a0, a1, Reg::A2), "sltu a0, a1, a2"),
+            (Inst::alu_imm(AluOp::Sra, a0, a1, 63), "srai a0, a1, 63"),
+            // No immediate form: `encode` rejects it, `Display` still names it.
+            (Inst::alu_imm(AluOp::Mul, a0, a1, 3), "muli a0, a1, 3"),
+            (
+                Inst::Movz {
+                    rd: a0,
+                    imm16,
+                    sh16,
+                },
+                "movz a0, 0xbeef, lsl 48",
+            ),
+            (
+                Inst::Movk {
+                    rd: a0,
+                    imm16,
+                    sh16,
+                },
+                "movk a0, 0xbeef, lsl 48",
+            ),
+            (load(B, true), "lb a0, -8(a1)"),
+            (load(B, false), "lbu a0, -8(a1)"),
+            (load(H, true), "lh a0, -8(a1)"),
+            (load(H, false), "lhu a0, -8(a1)"),
+            (load(W, true), "lw a0, -8(a1)"),
+            (load(W, false), "lwu a0, -8(a1)"),
+            (load(D, true), "ld a0, -8(a1)"),
+            // Encodes as `ld`, so it prints as `ld`.
+            (load(D, false), "ld a0, -8(a1)"),
+            (store(B), "sb a0, -8(a1)"),
+            (store(H), "sh a0, -8(a1)"),
+            (store(W), "sw a0, -8(a1)"),
+            (store(D), "sd a0, -8(a1)"),
+            (branch(Eq), "beq a0, a1, -8"),
+            (branch(Ne), "bne a0, a1, -8"),
+            (branch(Lt), "blt a0, a1, -8"),
+            (branch(Ge), "bge a0, a1, -8"),
+            (branch(Ltu), "bltu a0, a1, -8"),
+            (branch(Geu), "bgeu a0, a1, -8"),
+            (Inst::Jal { rd: a0, off: -8 }, "jal a0, -8"),
+            (
+                Inst::Jalr {
+                    rd: a0,
+                    rs1: a1,
+                    off: -8,
+                },
+                "jalr a0, -8(a1)",
+            ),
+            (Inst::Ecall, "ecall"),
+            (Inst::Ebreak, "ebreak"),
+            (Inst::Sret, "sret"),
+            (Inst::Mret, "mret"),
+            (Inst::Wfi, "wfi"),
+            (Inst::Fence, "fence"),
+            (Inst::FenceI, "fence.i"),
+            (Inst::SfenceVma, "sfence.vma"),
+            (csr(Rw), "csrrw a0, 0x342, a1"),
+            (csr(Rs), "csrrs a0, 0x342, a1"),
+            (csr(Rc), "csrrc a0, 0x342, a1"),
+            (Inst::Purge, "purge"),
+        ];
+        for (inst, text) in cases {
+            assert_eq!(inst.to_string(), text, "{inst:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Snapshot codec impls for architectural ISA types.
 //!
 //! Everything here is plain architectural state: registers, privilege,
-//! exception causes, CSRs, paging newtypes, and decoded instructions.
+//! exception causes, paging newtypes, and decoded instructions. The CSR
+//! file's codec comes from its table in `csr.rs`.
 //! Instructions are stored as their 32-bit machine encoding — every
 //! instruction that reaches the pipeline came from a fetched word, so
 //! `encode` round-trips by construction.
 
-use crate::csr::CsrFile;
 use crate::paging::{AccessKind, PageTableEntry, PhysAddr, VirtAddr};
 use crate::privilege::PrivLevel;
 use crate::trap::Exception;
@@ -87,17 +87,10 @@ impl SnapState for PageTableEntry {
     }
 }
 
-mi6_snapshot::snap_struct! {
-    CsrFile {
-        mstatus, medeleg, mideleg, mie, mtvec, mscratch, mepc, mcause, mtval, mip, mregions,
-        mfetchbase, mfetchbound, mtimecmp, stvec, sscratch, sepc, scause, stval, satp, stimecmp,
-        cycle, instret,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrFile;
     use mi6_snapshot::{SnapReader, SnapWriter};
 
     /// `v`'s bytes, checked to decode back to `v`.

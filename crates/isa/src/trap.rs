@@ -9,86 +9,92 @@
 use crate::privilege::PrivLevel;
 use std::fmt;
 
-/// A synchronous exception cause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Exception {
-    /// Instruction address misaligned (PC not a multiple of 4).
-    InstMisaligned,
-    /// Instruction fetch faulted (no valid translation / no memory).
-    InstAccessFault,
-    /// Undecodable or privilege-inadequate instruction.
-    IllegalInst,
-    /// `ebreak`.
-    Breakpoint,
-    /// Misaligned data load.
-    LoadMisaligned,
-    /// Data load faulted.
-    LoadAccessFault,
-    /// Misaligned data store.
-    StoreMisaligned,
-    /// Data store faulted.
-    StoreAccessFault,
-    /// `ecall` from user mode (syscall to the OS).
-    EcallFromUser,
-    /// `ecall` from supervisor mode (call into the security monitor).
-    EcallFromSupervisor,
-    /// `ecall` from machine mode (monitor self-call; normally unused).
-    EcallFromMachine,
-    /// Instruction page fault (page-table walk failed on fetch).
-    InstPageFault,
-    /// Load page fault.
-    LoadPageFault,
-    /// Store page fault.
-    StorePageFault,
-    /// MI6: the access targets a DRAM region not in the core's allowed
-    /// region bitvector (paper Section 5.3).
-    DramRegionFault,
+/// Declares a cause enum from one table with a row per cause: its doc,
+/// RISC-V style cause code and description. The table generates the
+/// enum, `ALL`, `code`, `from_code` and `Display`; a repeated code trips
+/// the `unreachable_patterns` lint.
+macro_rules! causes {
+    (
+        $(#[$ty_doc:meta])*
+        $ty:ident {
+            $($(#[$doc:meta])* $cause:ident = $code:literal, $text:literal;)+
+        }
+    ) => {
+        $(#[$ty_doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$doc])* $cause,)+
+        }
+
+        impl $ty {
+            /// All causes, in code order.
+            pub const ALL: [$ty; [$($ty::$cause),+].len()] = [$($ty::$cause),+];
+
+            /// The RISC-V style cause code.
+            pub const fn code(self) -> u64 {
+                match self {
+                    $($ty::$cause => $code,)+
+                }
+            }
+
+            /// Decodes a cause code.
+            pub const fn from_code(code: u64) -> Option<$ty> {
+                match code {
+                    $($code => Some($ty::$cause),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $($ty::$cause => $text,)+
+                })
+            }
+        }
+    };
+}
+
+causes! {
+    /// A synchronous exception cause.
+    Exception {
+        /// Instruction address misaligned (PC not a multiple of 4).
+        InstMisaligned = 0, "instruction address misaligned";
+        /// Instruction fetch faulted (no valid translation / no memory).
+        InstAccessFault = 1, "instruction access fault";
+        /// Undecodable or privilege-inadequate instruction.
+        IllegalInst = 2, "illegal instruction";
+        /// `ebreak`.
+        Breakpoint = 3, "breakpoint";
+        /// Misaligned data load.
+        LoadMisaligned = 4, "load address misaligned";
+        /// Data load faulted.
+        LoadAccessFault = 5, "load access fault";
+        /// Misaligned data store.
+        StoreMisaligned = 6, "store address misaligned";
+        /// Data store faulted.
+        StoreAccessFault = 7, "store access fault";
+        /// `ecall` from user mode (syscall to the OS).
+        EcallFromUser = 8, "ecall from user mode";
+        /// `ecall` from supervisor mode (call into the security monitor).
+        EcallFromSupervisor = 9, "ecall from supervisor mode";
+        /// `ecall` from machine mode (monitor self-call; normally unused).
+        EcallFromMachine = 11, "ecall from machine mode";
+        /// Instruction page fault (page-table walk failed on fetch).
+        InstPageFault = 12, "instruction page fault";
+        /// Load page fault.
+        LoadPageFault = 13, "load page fault";
+        /// Store page fault.
+        StorePageFault = 15, "store page fault";
+        /// MI6: the access targets a DRAM region not in the core's allowed
+        /// region bitvector (paper Section 5.3). Its code is in RISC-V's
+        /// custom range.
+        DramRegionFault = 24, "dram region fault";
+    }
 }
 
 impl Exception {
-    /// RISC-V style cause code (DramRegionFault takes a custom code 24).
-    pub const fn code(self) -> u64 {
-        match self {
-            Exception::InstMisaligned => 0,
-            Exception::InstAccessFault => 1,
-            Exception::IllegalInst => 2,
-            Exception::Breakpoint => 3,
-            Exception::LoadMisaligned => 4,
-            Exception::LoadAccessFault => 5,
-            Exception::StoreMisaligned => 6,
-            Exception::StoreAccessFault => 7,
-            Exception::EcallFromUser => 8,
-            Exception::EcallFromSupervisor => 9,
-            Exception::EcallFromMachine => 11,
-            Exception::InstPageFault => 12,
-            Exception::LoadPageFault => 13,
-            Exception::StorePageFault => 15,
-            Exception::DramRegionFault => 24,
-        }
-    }
-
-    /// Decodes a cause code.
-    pub const fn from_code(code: u64) -> Option<Exception> {
-        Some(match code {
-            0 => Exception::InstMisaligned,
-            1 => Exception::InstAccessFault,
-            2 => Exception::IllegalInst,
-            3 => Exception::Breakpoint,
-            4 => Exception::LoadMisaligned,
-            5 => Exception::LoadAccessFault,
-            6 => Exception::StoreMisaligned,
-            7 => Exception::StoreAccessFault,
-            8 => Exception::EcallFromUser,
-            9 => Exception::EcallFromSupervisor,
-            11 => Exception::EcallFromMachine,
-            12 => Exception::InstPageFault,
-            13 => Exception::LoadPageFault,
-            15 => Exception::StorePageFault,
-            24 => Exception::DramRegionFault,
-            _ => return None,
-        })
-    }
-
     /// The `ecall` exception raised from a given privilege level.
     pub const fn ecall_from(priv_level: PrivLevel) -> Exception {
         match priv_level {
@@ -108,112 +114,29 @@ impl Exception {
                 | Exception::DramRegionFault
         )
     }
-
-    /// All exception causes.
-    pub const ALL: [Exception; 16] = [
-        Exception::InstMisaligned,
-        Exception::InstAccessFault,
-        Exception::IllegalInst,
-        Exception::Breakpoint,
-        Exception::LoadMisaligned,
-        Exception::LoadAccessFault,
-        Exception::StoreMisaligned,
-        Exception::StoreAccessFault,
-        Exception::EcallFromUser,
-        Exception::EcallFromSupervisor,
-        Exception::EcallFromMachine,
-        Exception::InstPageFault,
-        Exception::LoadPageFault,
-        Exception::StorePageFault,
-        Exception::DramRegionFault,
-        Exception::Breakpoint,
-    ];
 }
 
-impl fmt::Display for Exception {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Exception::InstMisaligned => "instruction address misaligned",
-            Exception::InstAccessFault => "instruction access fault",
-            Exception::IllegalInst => "illegal instruction",
-            Exception::Breakpoint => "breakpoint",
-            Exception::LoadMisaligned => "load address misaligned",
-            Exception::LoadAccessFault => "load access fault",
-            Exception::StoreMisaligned => "store address misaligned",
-            Exception::StoreAccessFault => "store access fault",
-            Exception::EcallFromUser => "ecall from user mode",
-            Exception::EcallFromSupervisor => "ecall from supervisor mode",
-            Exception::EcallFromMachine => "ecall from machine mode",
-            Exception::InstPageFault => "instruction page fault",
-            Exception::LoadPageFault => "load page fault",
-            Exception::StorePageFault => "store page fault",
-            Exception::DramRegionFault => "dram region fault",
-        };
-        f.write_str(s)
+causes! {
+    /// An asynchronous interrupt cause.
+    Interrupt {
+        /// Supervisor software interrupt (IPI).
+        SupervisorSoftware = 1, "supervisor software interrupt";
+        /// Machine software interrupt (monitor IPI, e.g. TLB shootdown).
+        MachineSoftware = 3, "machine software interrupt";
+        /// Supervisor timer interrupt (drives the OS scheduler).
+        SupervisorTimer = 5, "supervisor timer interrupt";
+        /// Machine timer interrupt (drives the security monitor's watchdog).
+        MachineTimer = 7, "machine timer interrupt";
     }
-}
-
-/// An asynchronous interrupt cause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Interrupt {
-    /// Supervisor software interrupt (IPI).
-    SupervisorSoftware,
-    /// Supervisor timer interrupt (drives the OS scheduler).
-    SupervisorTimer,
-    /// Machine timer interrupt (drives the security monitor's watchdog).
-    MachineTimer,
-    /// Machine software interrupt (monitor IPI, e.g. TLB shootdown).
-    MachineSoftware,
 }
 
 impl Interrupt {
-    /// RISC-V style interrupt cause code.
-    pub const fn code(self) -> u64 {
-        match self {
-            Interrupt::SupervisorSoftware => 1,
-            Interrupt::MachineSoftware => 3,
-            Interrupt::SupervisorTimer => 5,
-            Interrupt::MachineTimer => 7,
-        }
-    }
-
-    /// Decodes an interrupt cause code.
-    pub const fn from_code(code: u64) -> Option<Interrupt> {
-        Some(match code {
-            1 => Interrupt::SupervisorSoftware,
-            3 => Interrupt::MachineSoftware,
-            5 => Interrupt::SupervisorTimer,
-            7 => Interrupt::MachineTimer,
-            _ => return None,
-        })
-    }
-
     /// The privilege level that natively handles this interrupt.
     pub const fn native_level(self) -> PrivLevel {
         match self {
             Interrupt::SupervisorSoftware | Interrupt::SupervisorTimer => PrivLevel::Supervisor,
             Interrupt::MachineSoftware | Interrupt::MachineTimer => PrivLevel::Machine,
         }
-    }
-
-    /// All interrupt causes.
-    pub const ALL: [Interrupt; 4] = [
-        Interrupt::SupervisorSoftware,
-        Interrupt::MachineSoftware,
-        Interrupt::SupervisorTimer,
-        Interrupt::MachineTimer,
-    ];
-}
-
-impl fmt::Display for Interrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Interrupt::SupervisorSoftware => "supervisor software interrupt",
-            Interrupt::SupervisorTimer => "supervisor timer interrupt",
-            Interrupt::MachineSoftware => "machine software interrupt",
-            Interrupt::MachineTimer => "machine timer interrupt",
-        };
-        f.write_str(s)
     }
 }
 
@@ -289,6 +212,22 @@ mod tests {
         for i in Interrupt::ALL {
             assert_eq!(Interrupt::from_code(i.code()), Some(i));
         }
+    }
+
+    /// `ALL` lists each cause once, in code order, and `from_code`
+    /// accepts exactly their codes.
+    #[test]
+    fn cause_tables_list_each_cause_once() {
+        let accepted = |decodes: fn(u64) -> bool| (0..64).filter(|&c| decodes(c)).collect();
+        let codes: Vec<u64> = accepted(|c| Exception::from_code(c).is_some());
+        assert_eq!(Exception::ALL.map(Exception::code).to_vec(), codes);
+        let distinct: std::collections::HashSet<_> = Exception::ALL.into_iter().collect();
+        assert_eq!((Exception::ALL.len(), distinct.len()), (15, 15));
+
+        let codes: Vec<u64> = accepted(|c| Interrupt::from_code(c).is_some());
+        assert_eq!(Interrupt::ALL.map(Interrupt::code).to_vec(), codes);
+        let distinct: std::collections::HashSet<_> = Interrupt::ALL.into_iter().collect();
+        assert_eq!((Interrupt::ALL.len(), distinct.len()), (4, 4));
     }
 
     #[test]

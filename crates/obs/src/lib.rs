@@ -75,7 +75,6 @@ pub struct Tracer {
     live: VecDeque<Option<OpRecord>>,
     buf: String,
     emitted_ops: u64,
-    squashed_ops: u64,
     /// Stop emitting (but keep counting) after this many records;
     /// 0 = unlimited. Keeps long bench runs from writing gigabytes.
     cap: u64,
@@ -92,7 +91,6 @@ impl Tracer {
             live: VecDeque::new(),
             buf: String::new(),
             emitted_ops: 0,
-            squashed_ops: 0,
             cap,
         }
     }
@@ -193,7 +191,6 @@ impl Tracer {
             debug_assert!(stale.is_none(), "live record above a squash point");
         }
         if let Some(op) = self.live.pop_back().expect("length checked") {
-            self.squashed_ops += 1;
             self.emit(&op, seq, 0);
         }
     }
@@ -251,11 +248,6 @@ impl Tracer {
         self.emitted_ops
     }
 
-    /// Records emitted as squashed.
-    pub fn squashed(&self) -> u64 {
-        self.squashed_ops
-    }
-
     /// Forgets all in-flight records (snapshot restore: the restored ops
     /// were never observed, so their hooks must be ignored, which the
     /// empty state guarantees).
@@ -283,7 +275,6 @@ impl Tracer {
 pub struct MetricsSink {
     buf: String,
     prev: BTreeMap<(i64, &'static str), u64>,
-    rows: u64,
 }
 
 impl MetricsSink {
@@ -293,7 +284,6 @@ impl MetricsSink {
     }
 
     fn row(&mut self, cycle: u64, core: Option<usize>, metric: &str, value: u64) {
-        self.rows += 1;
         let mut row = JsonWriter::default();
         row.u64("cycle", cycle);
         if let Some(c) = core {
@@ -315,16 +305,6 @@ impl MetricsSink {
         let key = (core.map(|c| c as i64).unwrap_or(-1), metric);
         let prev = self.prev.insert(key, total).unwrap_or(0);
         self.row(cycle, core, metric, total.saturating_sub(prev));
-    }
-
-    /// Rows written so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Buffered output bytes awaiting a drain.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
     }
 
     /// Takes the buffered rows (the machine appends them to the metrics

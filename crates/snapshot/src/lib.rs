@@ -225,11 +225,6 @@ impl<'a> SnapReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current byte offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Reads `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {

@@ -387,11 +387,6 @@ impl Machine {
         }
     }
 
-    /// The image loaded on core `i`, if any.
-    pub fn image(&self, i: usize) -> Option<&UserImage> {
-        self.loaded[i].as_ref()
-    }
-
     /// Advances the whole machine one cycle.
     pub fn tick(&mut self) {
         for core in &mut self.cores {
@@ -762,12 +757,6 @@ impl Machine {
         self.mem
             .phys
             .read_u64(PhysAddr::new(kdata_base(i) + 10 * 8))
-    }
-
-    /// Number of supervisor-level CSR traps core `i`'s kernel absorbed
-    /// (from the core's own counter).
-    pub fn traps(&self, i: usize) -> u64 {
-        self.cores[i].stats.traps
     }
 }
 
